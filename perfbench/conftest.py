@@ -1,0 +1,9 @@
+"""Import the program from the checkout when running ``pytest perfbench``."""
+
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
