@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core import to_split_cnn
 from repro.experiments import format_table
-from repro.graph import GraphExecutor, build_training_graph
+from repro.graph import CompiledPlan, build_training_graph
 from repro.models import small_vgg, vgg11
 
 from _util import run_once, save_and_print
@@ -70,11 +70,11 @@ def test_executor_parallel_speedup(benchmark):
         identical = True
         for name, model, x, y in cases:
             graph = build_training_graph(model, x.shape[0])
-            params = GraphExecutor.parameters_from_model(graph, model)
+            params = CompiledPlan.parameters_from_model(graph, model)
             reference = None
             seconds = {}
             for workers in WORKER_COUNTS:
-                executor = GraphExecutor(graph, params, workers=workers)
+                executor = CompiledPlan(graph, params, workers=workers)
                 seconds[workers] = _best_step_seconds(executor, x, y,
                                                       repeats)
                 outputs = {key: value.tobytes()

@@ -18,7 +18,7 @@ Artifact passes (not run by :func:`analyze_graph` — they take richer
 targets than a graph):
 
 - **lowering** (``SCA4xx``): :func:`verify_lowering` independently
-  checks a lowered :class:`~repro.compile.plan.CompiledPlan` against
+  checks a lowered :class:`~repro.graph.executor.CompiledPlan` against
   its source graph;
 - **config-lint** (``SCA5xx``): :func:`lint_engine_config` /
   :func:`lint_fleet_config` / :func:`lint_dense_config` audit serving,
@@ -32,8 +32,7 @@ directly, mesh plans are not single graphs).
 inline/baseline suppressions, and a fingerprint-keyed result cache.
 
 Entry points: :func:`analyze_graph` (library), :class:`AnalysisSuite`
-(policy + cache), ``repro lint`` (CLI), ``GraphExecutor(...,
-preflight=True)`` (executor guard), :func:`detect_mesh_hazards`
+(policy + cache), ``repro lint`` (CLI), :func:`detect_mesh_hazards`
 (``repro mesh-bench`` guard).
 """
 

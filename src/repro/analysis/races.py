@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Set, Tuple
 
+from ..graph.executor import OUTPUT_NAMES, resolve_final_gradients
 from ..graph.ir import Graph
 from ..graph.liveness import compute_free_plan
 from ..hmms.storage import StorageAssignment
@@ -146,9 +147,6 @@ def _use_after_free(graph: Graph, position: Dict[int, int],
     are retained separately via the executor's per-twin context
     counter, so only direct input reads are checked.)
     """
-    # Deferred: executor imports this package for preflight mode.
-    from ..graph.executor import OUTPUT_NAMES, resolve_final_gradients
-
     pinned = {t.id for t in graph.tensors.values()
               if t.kind in ("parameter", "constant")
               or t.name in OUTPUT_NAMES}

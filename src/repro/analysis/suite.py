@@ -45,7 +45,7 @@ from .diagnostics import (
 )
 
 if TYPE_CHECKING:
-    from ..compile.plan import CompiledPlan
+    from ..graph.executor import CompiledPlan
     from ..hmms.storage import StorageAssignment
 
 __all__ = [

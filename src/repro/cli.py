@@ -233,8 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="also select conv backends per shape "
                                "(direct vs FFT; not byte-identical)")
     compile_.add_argument("--check", action="store_true",
-                          help="execute compiled vs interpreted graphs "
-                               "and require byte-identical outputs")
+                          help="execute the compiled plan against a no-pass "
+                               "plan and require byte-identical outputs")
     compile_.add_argument("--workers", type=int, default=1,
                           help="CompiledPlan threads for --check")
 
@@ -255,8 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--inference", action="store_true",
                       help="lint the inference graph (purity enforced)")
     lint.add_argument("--compile", action="store_true",
-                      help="compile the graph and verify the lowered "
-                           "plan (SCA4xx)")
+                      help="run the compile passes before lowering (the "
+                           "lowered plan is verified either way, SCA4xx)")
     lint.add_argument("--config", action="store_true",
                       help="lint the serving-engine configuration for "
                            "the model (SCA5xx) instead of its graph")
@@ -665,9 +665,7 @@ def _cmd_compile(args) -> int:
     import numpy as np
 
     from .compile import CompiledPlan, default_pipeline
-    from .graph import (
-        GraphExecutor, build_inference_graph, build_training_graph,
-    )
+    from .graph import build_inference_graph, build_training_graph
 
     if args.check and args.backends:
         raise _UsageError(
@@ -683,7 +681,7 @@ def _cmd_compile(args) -> int:
                                      eval_batchnorm=args.eval_bn)
 
     graph = build()
-    params = GraphExecutor.parameters_from_model(graph, model)
+    params = CompiledPlan.parameters_from_model(graph, model)
     pipeline = default_pipeline(select_backends=args.backends)
     report = pipeline.run(graph, params=params)
     print(report.render())
@@ -691,8 +689,8 @@ def _cmd_compile(args) -> int:
         return 0
 
     reference = build()
-    interpreter = GraphExecutor(
-        reference, GraphExecutor.parameters_from_model(reference, model),
+    no_pass = CompiledPlan(
+        reference, CompiledPlan.parameters_from_model(reference, model),
         dropout_seed=0)
     plan = CompiledPlan(graph, params, dropout_seed=0, workers=args.workers)
     rng = np.random.default_rng(0)
@@ -704,7 +702,7 @@ def _cmd_compile(args) -> int:
         logits = next(t for t in reference.tensors.values()
                       if t.name == "softmax")
         targets = rng.integers(0, logits.shape[-1], size=args.batch)
-    expected = interpreter.run(x, targets)
+    expected = no_pass.run(x, targets)
     actual = plan.run(x, targets)
     identical = set(expected) == set(actual) and all(
         expected[key].tobytes() == actual[key].tobytes()
@@ -719,23 +717,19 @@ def _lint_build(model, batch: int, inference: bool, compiled: bool,
                 workers: int):
     """(graph, plan) for one lint configuration.  Compiled inference
     mirrors the serving engine (eval-mode batchnorm so folding applies);
-    interpreted inference mirrors the uncompiled serve path."""
+    interpreted inference mirrors the uncompiled serve path.  Every
+    configuration lowers a plan, so the lowering verifier always runs;
+    an interpreted one is a plan over the graph no pass has touched."""
+    from .compile import CompiledPlan, default_pipeline
     from .graph import build_inference_graph, build_training_graph
 
-    if not compiled:
-        if inference:
-            return build_inference_graph(model, batch), None
-        return build_training_graph(model, batch), None
-
-    from .compile import CompiledPlan, default_pipeline
-    from .graph import GraphExecutor
-
     if inference:
-        graph = build_inference_graph(model, batch, eval_batchnorm=True)
+        graph = build_inference_graph(model, batch, eval_batchnorm=compiled)
     else:
         graph = build_training_graph(model, batch)
-    params = GraphExecutor.parameters_from_model(graph, model)
-    default_pipeline().run(graph, params=params)
+    params = CompiledPlan.parameters_from_model(graph, model)
+    if compiled:
+        default_pipeline().run(graph, params=params)
     plan = CompiledPlan(graph, params, dropout_seed=0, workers=workers)
     return graph, plan
 

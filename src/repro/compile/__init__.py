@@ -6,20 +6,20 @@ Entry points:
 - :func:`compile_graph` / :func:`default_pipeline` — run the standard
   byte-identity pipeline (chain + sibling fusion, constant folding) over
   a graph in place; returns a :class:`CompileReport`.
-- :class:`CompiledPlan` — execute a (compiled or plain) graph with the
-  interpreter's kernels but precomputed dispatch, slots, free plan, and
-  seeds.
+- :class:`CompiledPlan` — the repo's one executor, re-exported from
+  :mod:`repro.graph.executor`: runs a (compiled or plain) graph with
+  precomputed dispatch, slots, free plan, and seeds.
 - ``default_pipeline(select_backends=True)`` — additionally run the
   per-shape conv backend selector (opt-in: FFT results are not bitwise
   identical to direct).
 """
 
+from ..graph.executor import CompiledPlan
 from .backends import SELECT_BACKENDS, conv_backend_costs, select_conv_backends
 from .pipeline import (
     CompileContext, CompileError, CompileReport, Pass, PassResult, Pipeline,
     compile_graph, default_pipeline,
 )
-from .plan import CompiledPlan
 from .rewrites import FOLD_CONSTANTS, FUSE_OPS, fold_constants, fuse_ops
 
 __all__ = [

@@ -3,7 +3,7 @@
 from .backward import append_backward_graph
 from .builder import GraphBuilder, build_forward_graph
 from .checkpoint import append_checkpointed_backward, build_checkpointed_training_graph
-from .executor import GraphExecutor
+from .executor import CompiledPlan, GraphExecutor
 from .export import GraphStats, graph_stats, to_dot, to_networkx
 from .ir import FLOAT_BYTES, Graph, OpNode, TensorValue
 from .liveness import Lifetime, compute_lifetimes
@@ -15,7 +15,7 @@ __all__ = [
     "append_backward_graph",
     "Lifetime", "compute_lifetimes",
     "GraphStats", "graph_stats", "to_dot", "to_networkx",
-    "GraphExecutor", "append_checkpointed_backward",
+    "CompiledPlan", "GraphExecutor", "append_checkpointed_backward",
     "build_checkpointed_training_graph",
     "OpDef", "REGISTRY", "op_def", "has_op", "infer_op_shapes",
 ]

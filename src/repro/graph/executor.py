@@ -1,8 +1,11 @@
-"""Numeric interpreter for the serialized computation-graph IR.
+"""The numeric executor for the serialized computation-graph IR.
 
-Executes a training graph (forward + backward ops) directly on numpy
-arrays, independently of the autograd engine that normally runs the
-models.  Two uses:
+:class:`CompiledPlan` executes a training graph (forward + backward ops)
+or an inference graph directly on numpy arrays, independently of the
+autograd engine that normally runs the models.  It is the repo's only
+executor: a plan over a graph no compile pass has touched is "the
+interpreter", and a plan over a :func:`repro.compile.compile_graph`
+output is "the compiled plan".  Uses:
 
 1. **Cross-validation** — running the same training step through (a) the
    autograd engine and (b) the IR executor must produce identical losses
@@ -10,19 +13,27 @@ models.  Two uses:
    backward generator end to end (``tests/test_executor.py``).
 2. **Measured profiling** — the paper's §4.3 obtains per-layer times by
    timing 20 repeated executions; :class:`repro.profile.measured.
-   MeasuredCostModel` drives this executor to do exactly that.
+   MeasuredCostModel` drives :meth:`CompiledPlan.execute_op` to do
+   exactly that.
+3. **Serving and patch inference** — the numeric path of
+   :mod:`repro.serve`, :mod:`repro.infer`, and :mod:`repro.mesh`.
 
 Kernels live in :mod:`repro.graph.registry` — one per op type, dispatched
 through the same :class:`~repro.graph.registry.OpDef` record the builder,
-backward generator, cost model, and HMMS storage pass consume.
+backward generator, cost model, and HMMS storage pass consume.  Lowering
+precomputes all per-op bookkeeping into flat arrays indexed by op/tensor
+id: kernel callables are bound once (``_steps``), values live in a dense
+list, and the eager-free refcounts, wavefront dependency counts, dropout
+seed pairs, and forward-op references are dense tables copied per run.
+:func:`repro.analysis.verify_lowering` re-derives every table from the
+graph (``SCA401``-``SCA405``).
 
 Backward ops run against the *saved context* of their forward op: each
 fused :class:`~repro.tensor.autograd.Function` instantiated during the
 forward pass is cached (keyed by forward op id) and its ``backward`` is
 invoked directly — bit-identical gradient semantics with the autograd
 engine, without re-running the forward kernel inside every backward
-handler.  Pass ``reuse_contexts=False`` to restore the historical
-replay-the-forward behavior (the benchmark baseline).
+handler.
 
 **Wavefront parallelism** — ``workers=N`` replaces the serialized walk of
 ``graph.ops`` with a ready-queue scheduler over the op dependency DAG
@@ -68,11 +79,11 @@ from .ir import Graph, OpNode
 from .liveness import compute_free_plan
 from .registry import op_def
 
-__all__ = ["GraphExecutor", "resolve_final_gradients", "OUTPUT_NAMES"]
+__all__ = ["CompiledPlan", "GraphExecutor", "resolve_final_gradients",
+           "OUTPUT_NAMES"]
 
 #: Tensor names whose values are run outputs (never freed eagerly).
 OUTPUT_NAMES = ("loss", "logits")
-_OUTPUT_NAMES = OUTPUT_NAMES
 
 
 def resolve_final_gradients(graph: Graph) -> Dict[str, int]:
@@ -86,7 +97,7 @@ def resolve_final_gradients(graph: Graph) -> Dict[str, int]:
     silently breaks whenever a transform or re-serialization renumbers
     tensors — ids carry no semantics.
 
-    Shared between :class:`GraphExecutor` (run outputs, pinning) and the
+    Shared between :class:`CompiledPlan` (run outputs, pinning) and the
     determinism audit of :mod:`repro.analysis` (which reports an
     un-frozen reduction instead of raising).
     """
@@ -117,25 +128,19 @@ def resolve_final_gradients(graph: Graph) -> Dict[str, int]:
     return finals
 
 
-class GraphExecutor:
-    """Executes a serialized training graph numerically.
+class CompiledPlan:
+    """A graph lowered to flat arrays, executable serially or wavefront.
 
     Parameters
     ----------
-    graph: a graph produced by :func:`repro.graph.build_training_graph`.
+    graph: a graph produced by :func:`repro.graph.build_training_graph` /
+        :func:`~repro.graph.build_inference_graph`, optionally rewritten
+        by :func:`repro.compile.compile_graph`.
     parameters: mapping from parameter tensor *name* to its array; use
         :meth:`parameters_from_model` to extract them in builder order.
     dropout_seed: base seed for dropout masks; each dropout op derives its
         own stream from ``(dropout_seed, op.id)`` so distinct layers draw
         distinct masks while staying replayable.
-    reuse_contexts: reuse each forward op's saved ``Function`` context in
-        its backward twin (default).  ``False`` replays the forward kernel
-        inside every backward handler instead — the pre-registry behavior,
-        kept for the ``benchmarks/test_executor_replay.py`` comparison.
-        Incompatible with ``workers > 1`` (replay re-executes forward
-        kernels at unpredictable times) and disables ``eager_free``
-        (replay re-reads forward inputs long after their last graph-level
-        consumer).
     workers: number of threads for wavefront execution.  ``1`` (default)
         walks ``graph.ops`` serially; ``N > 1`` executes every
         dependency-satisfied op concurrently with bit-identical results.
@@ -143,40 +148,27 @@ class GraphExecutor:
         retires (and each saved context after its last backward twin).
         ``False`` keeps everything live until the next :meth:`run` or
         :meth:`release_intermediates`.
-    preflight: statically analyze the graph before accepting it — the
-        whole-graph lint, the concurrency-hazard detector (at this
-        executor's ``workers``), and the determinism audit of
-        :mod:`repro.analysis`.  Raises
-        :class:`~repro.analysis.GraphAnalysisError` on any error-severity
-        finding.  Opt-in: it re-runs storage assignment, which is wasted
-        work when the caller already lints its graphs.
     """
 
     def __init__(self, graph: Graph, parameters: Dict[str, np.ndarray],
-                 dropout_seed: int = 0, reuse_contexts: bool = True,
-                 workers: int = 1, eager_free: bool = True,
-                 preflight: bool = False) -> None:
+                 dropout_seed: int = 0, workers: int = 1,
+                 eager_free: bool = True) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if preflight:
-            # Deferred import: repro.analysis consumes this module.
-            from ..analysis import analyze_graph
-            analyze_graph(graph, workers=workers).raise_if_failed()
-        if workers > 1 and not reuse_contexts:
-            raise ValueError(
-                "workers > 1 requires reuse_contexts=True: forward replay "
-                "re-executes forward kernels from backward handlers, which "
-                "races under concurrent execution"
-            )
         self.graph = graph
         self.dropout_seed = dropout_seed
-        self.reuse_contexts = reuse_contexts
         self.workers = workers
-        self.eager_free = eager_free and reuse_contexts
+        self.eager_free = eager_free
         self.targets: Optional[np.ndarray] = None
-        self.values: Dict[int, np.ndarray] = {}
-        self._contexts: Dict[int, Any] = {}
-        self._param_names: Dict[int, str] = {}
+
+        num_tensors = 1 + max((t.id for t in graph.tensors.values()),
+                              default=0)
+        num_ops = 1 + max((op.id for op in graph.ops), default=0)
+        self._num_ops = num_ops
+
+        # -- persistent values (parameters + constants), seeded once ----
+        base: List[Optional[np.ndarray]] = [None] * num_tensors
+        persistent = set()
         for tensor in graph.tensors.values():
             if tensor.kind == "parameter":
                 if tensor.name not in parameters:
@@ -184,41 +176,81 @@ class GraphExecutor:
                 array = parameters[tensor.name]
                 if tuple(array.shape) != tensor.shape:
                     raise ValueError(
-                        f"parameter {tensor.name!r}: expected {tensor.shape}, "
-                        f"got {array.shape}"
+                        f"parameter {tensor.name!r}: expected {tensor.shape},"
+                        f" got {array.shape}"
                     )
-                self.values[tensor.id] = array
-                self._param_names[tensor.id] = tensor.name
+                base[tensor.id] = array
+                persistent.add(tensor.id)
             elif tensor.kind == "constant":
                 try:
-                    self.values[tensor.id] = graph.constants[tensor.id]
+                    base[tensor.id] = graph.constants[tensor.id]
                 except KeyError:
                     raise KeyError(
                         f"constant tensor {tensor.name!r} (id {tensor.id}) "
                         "has no value in graph.constants"
                     ) from None
-        self._persistent = frozenset(
-            set(self._param_names)
-            | {t.id for t in graph.tensors.values() if t.kind == "constant"}
-        )
+                persistent.add(tensor.id)
+        self._base_values = base
+        self.values: List[Optional[np.ndarray]] = list(base)
+        self._contexts: List[Any] = [None] * num_ops
+
+        self._input_ids = [t.id for t in graph.tensors.values()
+                           if t.kind == "input"]
         self._outputs_by_name = {
             t.name: t.id for t in graph.tensors.values()
-            if t.name in _OUTPUT_NAMES
+            if t.name in OUTPUT_NAMES
         }
-        self._final_grads = self._resolve_final_gradients()
-        self._pinned = frozenset(
-            self._persistent
-            | set(self._outputs_by_name.values())
-            | set(self._final_grads.values())
-        )
-        # Lazily built, graph-static: (value refcounts, op -> tensors it
-        # consumes, forward op -> number of backward ops referencing it).
-        self._free_template: Optional[
-            Tuple[Dict[int, int], Dict[int, List[int]], Dict[int, int]]] = None
+        self._final_grads = resolve_final_gradients(graph)
+        pinned = frozenset(persistent
+                           | set(self._outputs_by_name.values())
+                           | set(self._final_grads.values()))
+
+        # -- lowered step list: kernels bound once ----------------------
+        self._steps: List[Tuple[Any, OpNode]] = [
+            (op_def(op.op_type).kernel, op) for op in graph.ops
+        ]
+        self._fwd: List[Optional[OpNode]] = [None] * num_ops
+        self._seeds: List[Optional[Tuple[int, int]]] = [None] * num_ops
+        for op in graph.ops:
+            self._seeds[op.id] = (dropout_seed, op.attrs.get("seed", op.id))
+            if op.forward_of is not None:
+                self._fwd[op.id] = graph.op_by_id(op.forward_of)
+
+        # -- dense eager-free schedule ----------------------------------
+        counts, consumed_by_op = compute_free_plan(graph, pinned=pinned)
+        self._counts_template: List[int] = [0] * num_tensors
+        for tensor_id, count in counts.items():
+            self._counts_template[tensor_id] = count
+        self._consumed: List[Tuple[int, ...]] = [()] * num_ops
+        for op_id, tensor_ids in consumed_by_op.items():
+            self._consumed[op_id] = tuple(tensor_ids)
+        twin_counts = Counter(op.forward_of for op in graph.ops
+                              if op.forward_of is not None)
+        self._ctx_template: List[int] = [0] * num_ops
+        for op_id, count in twin_counts.items():
+            self._ctx_template[op_id] = count
+
+        # -- dense wavefront schedule -----------------------------------
+        deps = graph.op_dependencies()
+        self._remaining_template: List[int] = [0] * num_ops
+        self._dependents: List[Tuple[int, ...]] = [()] * num_ops
+        dependents: Dict[int, List[int]] = {}
+        for op_id, op_deps in deps.items():
+            self._remaining_template[op_id] = len(op_deps)
+            for dep in op_deps:
+                dependents.setdefault(dep, []).append(op_id)
+        for op_id, dep_list in dependents.items():
+            self._dependents[op_id] = tuple(dep_list)
+        self._by_id: List[Optional[OpNode]] = [None] * num_ops
+        for op in graph.ops:
+            self._by_id[op.id] = op
+        self._initial = [op for op in graph.ops
+                         if self._remaining_template[op.id] == 0]
 
     # ------------------------------------------------------------------
     @staticmethod
-    def parameters_from_model(graph: Graph, model) -> Dict[str, np.ndarray]:
+    def parameters_from_model(graph: Graph, model: Any
+                              ) -> Dict[str, np.ndarray]:
         """Match the graph's parameter tensors to the model's arrays.
 
         The builder caches one parameter tensor per (module, attribute) and
@@ -234,7 +266,7 @@ class GraphExecutor:
                 f"graph has {len(graph_params)} parameters, model has "
                 f"{len(model_params)}"
             )
-        mapping = {}
+        mapping: Dict[str, np.ndarray] = {}
         for tensor, param in zip(graph_params, model_params):
             if tuple(param.data.shape) != tensor.shape:
                 raise ValueError(
@@ -245,30 +277,26 @@ class GraphExecutor:
         return mapping
 
     # ------------------------------------------------------------------
-    def _resolve_final_gradients(self) -> Dict[str, int]:
-        return resolve_final_gradients(self.graph)
-
-    # ------------------------------------------------------------------
     def release_intermediates(self) -> None:
-        """Drop every non-parameter value and all saved contexts.
+        """Reset to the persistent (parameter + constant) values only.
 
         Repeated :meth:`run` calls (the §4.3 profiling loop) would
         otherwise keep every activation, gradient, and forward context of
         every step live.  With ``eager_free`` most of this already
         happened during the run; this clears the run outputs too.
         """
-        self.values = {tensor_id: array
-                       for tensor_id, array in self.values.items()
-                       if tensor_id in self._persistent}
-        self._contexts.clear()
+        self.values = list(self._base_values)
+        self._contexts = [None] * self._num_ops
 
     def run(self, input_array: np.ndarray,
             targets: Optional[np.ndarray] = None) -> Dict[str, np.ndarray]:
-        """Execute every op; returns {'loss': ..., 'grad(<param>)': ...}
-        for training graphs, {'logits': ...} for inference graphs."""
-        input_tensor = next(t for t in self.graph.tensors.values()
-                            if t.kind == "input")
-        return self.run_with_inputs({input_tensor.id: input_array},
+        """Execute every op; returns ``{'loss': ..., 'grad(<param>)': ...}``
+        for training graphs, ``{'logits': ...}`` for inference graphs.
+
+        The single-input case of :meth:`run_with_inputs`: ``input_array``
+        binds the graph's first input tensor.
+        """
+        return self.run_with_inputs({self._input_ids[0]: input_array},
                                     targets=targets)
 
     def run_with_inputs(self, inputs: Dict[int, np.ndarray],
@@ -278,29 +306,25 @@ class GraphExecutor:
 
         Partitioned graphs (mesh patch chains, pipeline stages) carry
         several input tensors — the per-patch slices and the remote patch
-        results arriving from other devices; :meth:`run` is the
-        single-input special case.  Raises on missing, unknown,
+        results arriving from other devices.  Raises on missing, unknown,
         mis-shaped, or mis-typed bindings.
 
-        Every kernel in the executor computes in float64, so graph
-        inputs must arrive as float64.  A wrong-dtype array (say a
-        float32 patch) used to be coerced silently — upcasting every
-        downstream kernel and hiding the producer's dtype bug — and now
-        raises ``TypeError`` instead; lossless conversion is the
-        *caller's* explicit decision.  Plain Python nested lists still
-        convert (``np.asarray`` yields float64 for float data).
+        Every kernel computes in float64, so graph inputs must arrive as
+        float64.  A wrong-dtype array (say a float32 patch) raises
+        ``TypeError`` instead of being upcast silently, which would hide
+        the producer's dtype bug; lossless conversion is the *caller's*
+        explicit decision.  Plain Python nested lists still convert
+        (``np.asarray`` yields float64 for float data).
         """
-        self.release_intermediates()
-        input_ids = {t.id for t in self.graph.tensors.values()
-                     if t.kind == "input"}
-        missing = input_ids - set(inputs)
+        missing = [i for i in self._input_ids if i not in inputs]
         if missing:
             names = sorted(self.graph.tensors[i].name for i in missing)
             raise ValueError(f"unbound graph inputs: {names}")
-        unknown = set(inputs) - input_ids
+        unknown = set(inputs) - set(self._input_ids)
         if unknown:
             raise ValueError(
                 f"tensor ids {sorted(unknown)} are not graph inputs")
+        self.release_intermediates()
         for tensor_id, array in inputs.items():
             tensor = self.graph.tensors[tensor_id]
             array = np.asarray(array)
@@ -311,8 +335,7 @@ class GraphExecutor:
             if array.dtype != np.float64:
                 raise TypeError(
                     f"input {tensor.name!r} dtype {array.dtype} != the "
-                    f"graph input dtype float64; convert explicitly "
-                    f"(silent upcasts hid producer dtype bugs)")
+                    f"graph input dtype float64; convert explicitly")
             self.values[tensor_id] = array
         self.targets = targets
         if self.workers > 1:
@@ -321,86 +344,83 @@ class GraphExecutor:
             self._run_serial()
         outputs: Dict[str, np.ndarray] = {}
         for name, tensor_id in self._outputs_by_name.items():
-            outputs[name] = self.values[tensor_id]
+            value = self.values[tensor_id]
+            assert value is not None
+            outputs[name] = value
         for param_name, tensor_id in self._final_grads.items():
-            outputs[f"grad({param_name})"] = self.values[tensor_id]
+            grad = self.values[tensor_id]
+            assert grad is not None
+            outputs[f"grad({param_name})"] = grad
         return outputs
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _fresh_free_state(self):
-        """Per-run copies of the freeing refcounts (``None`` if disabled)."""
-        if not self.eager_free:
-            return None, None, None
-        if self._free_template is None:
-            counts, consumed_by_op = compute_free_plan(
-                self.graph, pinned=self._pinned)
-            twins = Counter(op.forward_of for op in self.graph.ops
-                            if op.forward_of is not None)
-            self._free_template = (counts, consumed_by_op, dict(twins))
-        counts, consumed_by_op, twins = self._free_template
-        return dict(counts), consumed_by_op, dict(twins)
+    def _retire(self, op: OpNode, counts: List[int],
+                ctx_left: List[int]) -> None:
+        """Free the values and the context made dead by ``op`` completing.
 
-    def _retire(self, op: OpNode, counts, consumed_by_op, ctx_left) -> None:
-        """Free values and contexts made dead by ``op`` completing.
-
-        Callers serialize calls (the wavefront holds its scheduler lock),
-        so plain dict updates are safe.
+        The wavefront calls this under its scheduler lock, so plain list
+        updates are safe.
         """
-        for tensor_id in consumed_by_op.get(op.id, ()):
+        values = self.values
+        for tensor_id in self._consumed[op.id]:
             left = counts[tensor_id] - 1
             counts[tensor_id] = left
             if left == 0:
-                self.values.pop(tensor_id, None)
-        if op.forward_of is not None:
-            left = ctx_left.get(op.forward_of)
-            if left is not None:
-                left -= 1
-                ctx_left[op.forward_of] = left
-                if left == 0:
-                    self._contexts.pop(op.forward_of, None)
+                values[tensor_id] = None
+        forward_id = op.forward_of
+        if forward_id is not None:
+            left = ctx_left[forward_id] - 1
+            ctx_left[forward_id] = left
+            if left == 0:
+                self._contexts[forward_id] = None
 
     def _run_serial(self) -> None:
-        counts, consumed_by_op, ctx_left = self._fresh_free_state()
-        for op in self.graph.ops:
-            self.execute_op(op)
-            if counts is not None:
-                self._retire(op, counts, consumed_by_op, ctx_left)
+        if not self.eager_free:
+            for kernel, op in self._steps:
+                kernel(self, op)
+            return
+        counts = list(self._counts_template)
+        ctx_left = list(self._ctx_template)
+        retire = self._retire
+        for kernel, op in self._steps:
+            kernel(self, op)
+            retire(op, counts, ctx_left)
 
     def _run_wavefront(self) -> None:
         """Ready-queue execution of the op DAG on a thread pool.
 
-        Every op whose dependencies (:meth:`Graph.op_dependencies`) have
-        retired is submitted immediately; completion retires it under one
-        scheduler lock, releasing dead values and newly-ready successors.
-        Kernels themselves run outside the lock — that is where the BLAS
-        time goes and where the GIL is released.
+        Every op whose dependencies have retired is submitted immediately;
+        completion retires it under one scheduler lock, releasing dead
+        values and newly-ready successors.  Kernels themselves run outside
+        the lock — that is where the BLAS time goes and where the GIL is
+        released.  The first kernel exception stops further submissions,
+        and the pool is drained before it is re-raised.
         """
-        graph = self.graph
-        deps = graph.op_dependencies()
-        dependents: Dict[int, List[int]] = {}
-        for op_id, op_deps in deps.items():
-            for dep in op_deps:
-                dependents.setdefault(dep, []).append(op_id)
-        remaining = {op_id: len(op_deps) for op_id, op_deps in deps.items()}
-        by_id = {op.id: op for op in graph.ops}
-        counts, consumed_by_op, ctx_left = self._fresh_free_state()
+        remaining = list(self._remaining_template)
+        counts = list(self._counts_template)
+        ctx_left = list(self._ctx_template)
+        dependents = self._dependents
+        by_id = self._by_id
         lock = threading.Lock()
         done = threading.Event()
         failures: List[BaseException] = []
-        ops_left = len(graph.ops)
+        ops_left = len(self._steps)
+        kernels = {op.id: kernel for kernel, op in self._steps}
 
         def finish(op: OpNode) -> None:
             nonlocal ops_left
             ready_next: List[OpNode] = []
             with lock:
-                if counts is not None:
-                    self._retire(op, counts, consumed_by_op, ctx_left)
-                for dep_id in dependents.get(op.id, ()):
+                if self.eager_free:
+                    self._retire(op, counts, ctx_left)
+                for dep_id in dependents[op.id]:
                     remaining[dep_id] -= 1
                     if remaining[dep_id] == 0:
-                        ready_next.append(by_id[dep_id])
+                        dep_op = by_id[dep_id]
+                        assert dep_op is not None
+                        ready_next.append(dep_op)
                 ops_left -= 1
                 if ops_left == 0:
                     done.set()
@@ -411,17 +431,16 @@ class GraphExecutor:
             if failures:
                 return
             try:
-                self.execute_op(op)
+                kernels[op.id](self, op)
             except BaseException as exc:  # surfaced to the caller below
                 failures.append(exc)
                 done.set()
                 return
             finish(op)
 
-        initial = [op for op in graph.ops if remaining[op.id] == 0]
         pool = ThreadPoolExecutor(max_workers=self.workers)
         try:
-            for op in initial:
+            for op in self._initial:
                 pool.submit(task, op)
             done.wait()
         finally:
@@ -431,35 +450,33 @@ class GraphExecutor:
 
     # ------------------------------------------------------------------
     def execute_op(self, op: OpNode) -> None:
+        """Run one op's kernel against the current values — the §4.3
+        per-op timing loop re-executes ops of a finished run."""
         op_def(op.op_type).kernel(self, op)
 
-    # -- kernel-facing helpers (the registry kernels' executor API) ------
+    # -- kernel-facing API (the registry kernels' executor contract) -----
     def input(self, op: OpNode, index: int) -> np.ndarray:
-        return self.values[op.inputs[index]]
+        value = self.values[op.inputs[index]]
+        assert value is not None
+        return value
 
     def set_output(self, op: OpNode, index: int, value: np.ndarray) -> None:
         self.values[op.outputs[index]] = value
 
     def forward_op(self, op: OpNode) -> OpNode:
-        return self.graph.op_by_id(op.forward_of)
+        forward = self._fwd[op.id]
+        assert forward is not None
+        return forward
 
     def save_context(self, op: OpNode, fn: Any) -> None:
         """Cache a forward op's ``Function`` for its backward twin."""
         self._contexts[op.id] = fn
 
     def forward_context(self, op: OpNode) -> Any:
-        """The ``Function`` context of ``op``'s forward op.
-
-        With ``reuse_contexts`` the context saved when the forward op ran
-        is returned directly; without it, the forward kernel is replayed
-        to rebuild a fresh context (outputs are overwritten with identical
-        values — forward kernels with contexts are deterministic).
-        """
+        """The ``Function`` context saved when ``op``'s forward op ran;
+        replays the forward kernel if the context was already freed."""
         forward = self.forward_op(op)
-        if not self.reuse_contexts:
-            self.execute_op(forward)
-            return self._contexts.pop(forward.id)
-        ctx = self._contexts.get(forward.id)
+        ctx = self._contexts[forward.id]
         if ctx is None:
             self.execute_op(forward)
             ctx = self._contexts[forward.id]
@@ -472,4 +489,10 @@ class GraphExecutor:
         op (audited by ``repro.analysis``); graphs constructed by hand
         fall back to the op id, which is the same stream.
         """
-        return (self.dropout_seed, op.attrs.get("seed", op.id))
+        seed = self._seeds[op.id]
+        assert seed is not None
+        return seed
+
+
+#: The former interpreter's name, kept for ``perfbench/``, which imports it.
+GraphExecutor = CompiledPlan

@@ -81,7 +81,7 @@ def compute_free_plan(
     number of distinct consumer ops, ``consumed_by_op[op_id]`` the tensors
     whose count an op's completion decrements.  Tensors in ``pinned`` and
     tensors with no consumers (run outputs, dead ends) are excluded — they
-    stay live until :meth:`GraphExecutor.release_intermediates`.
+    stay live until :meth:`CompiledPlan.release_intermediates`.
     """
     lifetimes = compute_lifetimes(graph)
     position_to_op = [op.id for op in graph.ops]

@@ -15,7 +15,7 @@ field                     consumer
 ========================  ====================================================
 ``infer_shapes``          :class:`~repro.graph.builder.GraphBuilder` (output
                           tensor shapes) and :meth:`Graph.validate`
-``kernel``                :class:`~repro.graph.executor.GraphExecutor`
+``kernel``                :class:`~repro.graph.executor.CompiledPlan`
 ``backward``              :func:`~repro.graph.backward.append_backward_graph`
 ``characterize`` /        :class:`~repro.profile.cost.CostModel` (roofline
 ``efficiency`` / ``free``  flops + bytes + efficiency class)

@@ -7,7 +7,7 @@ paddings computed by :class:`~repro.infer.splitter.GridSplitter` — so a
 patch graph is op-for-op the unsplit graph restricted to a window.
 
 Graphs stop at the dense feature map (no flatten/classifier head); the
-final tensor is renamed ``"logits"`` so :class:`GraphExecutor`'s output
+final tensor is renamed ``"logits"`` so :class:`CompiledPlan`'s output
 plumbing and the compiler's output-preservation contract apply unchanged.
 Batch-norm always uses running statistics (``eval_batchnorm``): eval BN
 is elementwise, which is what keeps per-tile execution exact.

@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple, Union
 import numpy as np
 
 from ..compile import CompiledPlan, default_pipeline
-from ..graph import GraphExecutor
 from ..graph.ir import Graph
 from ..hmms import HMMSPlanner, MemoryPlan, PlanCache, verify_plan
 from ..nn import Module
@@ -45,7 +44,7 @@ class DenseEntry:
     plan: MemoryPlan
     latency: float                     # simulated seconds per execution
     params: Dict[str, np.ndarray]
-    executor: Optional[Union[GraphExecutor, CompiledPlan]] = None
+    executor: Optional[CompiledPlan] = None
 
 
 @dataclass
@@ -152,12 +151,9 @@ class PatchInferer:
                         cost_model=self.planner.cost_model).raise_if_failed()
             self.plans_verified += 1
         latency = self.planner.cost_model.inference_latency(graph)
-        executor: Optional[Union[GraphExecutor, CompiledPlan]] = None
+        executor: Optional[CompiledPlan] = None
         if self.numeric:
-            if self._pipeline is not None:
-                executor = CompiledPlan(graph, params, workers=self.workers)
-            else:
-                executor = GraphExecutor(graph, params, workers=self.workers)
+            executor = CompiledPlan(graph, params, workers=self.workers)
         batch = next(t for t in graph.tensors.values()
                      if t.kind == "input").shape[0]
         return DenseEntry(batch=batch, graph=graph, plan=plan,

@@ -42,7 +42,7 @@ from ..core.region import SplitRegion, get_handler
 from ..core.scheme import SplitScheme
 from ..graph import GraphBuilder, build_training_graph
 from ..graph.builder import params_for_builder
-from ..graph.executor import GraphExecutor, resolve_final_gradients
+from ..graph.executor import CompiledPlan, resolve_final_gradients
 from ..graph.ir import Graph
 from ..hmms import HMMSPlanner
 from ..hmms.planner import MemoryPlan
@@ -209,7 +209,7 @@ class MeshPartitioner:
         """
         params: Dict[str, np.ndarray] = {}
         if model is not None:
-            params = GraphExecutor.parameters_from_model(graph, model)
+            params = CompiledPlan.parameters_from_model(graph, model)
         batch = _graph_batch(graph)
         assignments = [
             DeviceAssignment(device_id=d, role="replica", graph=graph,
@@ -605,15 +605,16 @@ def run_spatial_numeric(mesh_plan: MeshPlan,
                 inputs[tensor_id] = x[:, :, h0:h1, w0:w1]
             elif binding[0] == "patch_out":
                 inputs[tensor_id] = patch_results[binding[1:]]
-        executor = GraphExecutor(assignment.graph, assignment.params)
+        executor = CompiledPlan(assignment.graph, assignment.params)
         outputs = executor.run_with_inputs(inputs)
         for key, tensor_id in assignment.output_tensors.items():
             # Patch tensors shipped to another device have no local
             # consumer, so the eager-free plan keeps them live through
             # the run; the tail's own patches are consumed by its concat
             # (and freed) — nothing remote needs those.
-            if key[0] == "patch_out" and tensor_id in executor.values:
-                patch_results[key[1:]] = executor.values[tensor_id]
+            value = executor.values[tensor_id]
+            if key[0] == "patch_out" and value is not None:
+                patch_results[key[1:]] = value
         if ("logits",) in assignment.output_tensors:
             logits = outputs["logits"]
     if logits is None:
@@ -631,7 +632,7 @@ def run_pipeline_numeric(mesh_plan: MeshPlan,
     for assignment in sorted(mesh_plan.assignments,
                              key=lambda a: a.device_id):
         (tensor_id,) = assignment.input_bindings
-        executor = GraphExecutor(assignment.graph, assignment.params)
+        executor = CompiledPlan(assignment.graph, assignment.params)
         outputs = executor.run_with_inputs({tensor_id: value})
         ((key, out_id),) = assignment.output_tensors.items()
         if key == ("logits",):

@@ -2,7 +2,7 @@
 
 The paper obtains layer times by executing each operation 20 times and
 averaging.  :class:`MeasuredCostModel` does exactly that on the numeric
-:class:`~repro.graph.executor.GraphExecutor`: every op of the graph is
+:class:`~repro.graph.executor.CompiledPlan`: every op of the graph is
 run ``repetitions`` times on this machine and the mean wall time is used
 wherever the analytical roofline estimate would be.
 
@@ -18,7 +18,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..graph.executor import GraphExecutor
+from ..graph.executor import CompiledPlan
 from ..graph.ir import Graph, OpNode
 from .cost import CostModel, OpCost
 from .device import DeviceSpec, P100_NVLINK
@@ -35,7 +35,7 @@ class MeasuredCostModel(CostModel):
     ----------
     graph: the training graph to profile.
     parameters: parameter arrays (see
-        :meth:`GraphExecutor.parameters_from_model`).
+        :meth:`CompiledPlan.parameters_from_model`).
     input_array / targets: one representative batch.
     repetitions: timing repetitions per op (paper uses 20).
     workers: thread count for the materialization run (the per-op timing
@@ -68,8 +68,8 @@ class MeasuredCostModel(CostModel):
         # One full run materializes every value and forward context
         # (eager_free stays off — the timing loop below re-reads all of
         # them); the run itself may use the wavefront scheduler.
-        executor = GraphExecutor(graph, parameters, workers=self.workers,
-                                 eager_free=False)
+        executor = CompiledPlan(graph, parameters, workers=self.workers,
+                                eager_free=False)
         executor.run(input_array, targets)
         for op in graph.ops:
             # Execute once to warm caches, then time `repetitions`

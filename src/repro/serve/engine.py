@@ -6,7 +6,7 @@ and memoizes all of it in a :class:`~repro.hmms.planner.PlanCache` keyed
 by ``(model, split scheme, batch)``.  Steady-state traffic therefore
 never replans: after warmup every batch is a cache hit that charges a
 precomputed simulated latency (and optionally runs the numeric
-:class:`~repro.graph.executor.GraphExecutor` for real logits).
+:class:`~repro.graph.executor.CompiledPlan` for real logits).
 
 Batch sizes are bucketed to powers of two: a 13-image batch executes the
 16-image graph.  Bucketing is what makes the cache finite — without it
@@ -24,12 +24,12 @@ serving headroom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..compile import CompiledPlan, default_pipeline
-from ..graph import GraphExecutor, build_inference_graph
+from ..graph import build_inference_graph
 from ..graph.ir import Graph
 from ..hmms import HMMSPlanner, MemoryPlan, PlanCache, verify_plan
 from ..models.base import ConvClassifier
@@ -47,7 +47,7 @@ class CachedBatchPlan:
     graph: Graph
     plan: MemoryPlan
     latency: float                      # simulated seconds per batch
-    executor: Optional[Union[GraphExecutor, CompiledPlan]] = None
+    executor: Optional[CompiledPlan] = None
 
 
 class ServingEngine:
@@ -175,7 +175,7 @@ class ServingEngine:
             graph = build_inference_graph(self.model, batch,
                                           eval_batchnorm=True)
             self._pipeline.run(
-                graph, params=GraphExecutor.parameters_from_model(
+                graph, params=CompiledPlan.parameters_from_model(
                     graph, self.model))
             return graph
         return build_inference_graph(self.model, batch)
@@ -188,13 +188,10 @@ class ServingEngine:
                         cost_model=self.planner.cost_model).raise_if_failed()
             self.plans_verified += 1
         latency = self.planner.cost_model.inference_latency(graph)
-        executor: Optional[Union[GraphExecutor, CompiledPlan]] = None
+        executor: Optional[CompiledPlan] = None
         if self.numeric:
-            params = GraphExecutor.parameters_from_model(graph, self.model)
-            if self._pipeline is not None:
-                executor = CompiledPlan(graph, params, workers=self.workers)
-            else:
-                executor = GraphExecutor(graph, params, workers=self.workers)
+            params = CompiledPlan.parameters_from_model(graph, self.model)
+            executor = CompiledPlan(graph, params, workers=self.workers)
         return CachedBatchPlan(batch=batch, graph=graph, plan=plan,
                                latency=latency, executor=executor)
 

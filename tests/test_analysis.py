@@ -8,7 +8,7 @@ Three layers of coverage:
   quiet on known-good ones;
 - **mutation tests**: each diagnostic code is tripped by exactly the
   corruption it documents, pinning code assignments;
-- the **framework**: diagnostics, report emitters, preflight wiring.
+- the **framework**: diagnostics, report emitters, entry points.
 """
 
 import json
@@ -24,7 +24,6 @@ from repro.core import to_split_cnn
 from repro.graph import build_inference_graph, build_training_graph
 from repro.graph.backward import prune_dead_gradients
 from repro.graph.checkpoint import build_checkpointed_training_graph
-from repro.graph.executor import GraphExecutor
 from repro.graph.ir import Graph
 from repro.hmms.storage import assign_storage
 from repro.models import MODEL_REGISTRY, ConvClassifier, build_model
@@ -470,22 +469,3 @@ class TestEntryPoints:
         assert lint_only.by_code("SCA003")
         assert not races_only.findings
         assert races_only.passes == ("concurrency",)
-
-    def test_preflight_accepts_clean_graph(self):
-        with init.fast_init():
-            model = build_model("small_vgg")
-        graph = build_training_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(graph, model)
-        executor = GraphExecutor(graph, params, workers=4, preflight=True)
-        assert executor.workers == 4
-
-    def test_preflight_rejects_broken_graph(self):
-        with init.fast_init():
-            model = build_model("small_vgg")
-        graph = build_training_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(graph, model)
-        conv = next(op for op in graph.forward_ops()
-                    if op.op_type == "conv2d")
-        graph.tensors[conv.outputs[0]].shape = (9, 9, 9, 9)
-        with pytest.raises(GraphAnalysisError, match="SCA001"):
-            GraphExecutor(graph, params, workers=4, preflight=True)

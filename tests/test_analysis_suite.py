@@ -23,7 +23,6 @@ from repro.analysis import (
 from repro.analysis.diagnostics import HELP_URI, sarif_rules
 from repro.compile import CompiledPlan, default_pipeline
 from repro.graph import build_inference_graph, build_training_graph
-from repro.graph.executor import GraphExecutor
 from repro.graph.ir import Graph
 from repro.hmms.planner import PlanCache
 from repro.models import build_model
@@ -58,7 +57,7 @@ def compiled_train():
     builds its own CompiledPlan (cheap) and mutates only the plan."""
     model = _model()
     graph = build_training_graph(model, 2)
-    params = GraphExecutor.parameters_from_model(graph, model)
+    params = CompiledPlan.parameters_from_model(graph, model)
     default_pipeline().run(graph, params=params)
     return graph, params
 
@@ -69,9 +68,26 @@ def compiled_eval():
     folding creates bn_affine constants for the SCA405 poison test."""
     model = _model("small_resnet")
     graph = build_inference_graph(model, 2, eval_batchnorm=True)
-    params = GraphExecutor.parameters_from_model(graph, model)
+    params = CompiledPlan.parameters_from_model(graph, model)
     default_pipeline().run(graph, params=params)
     return graph, params
+
+
+@pytest.fixture(scope="module")
+def no_pass_train():
+    """(graph, params) for a small_vgg training graph no pass touched —
+    the plan every uncompiled execution lowers."""
+    model = _model()
+    graph = build_training_graph(model, 2)
+    return graph, CompiledPlan.parameters_from_model(graph, model)
+
+
+@pytest.fixture(scope="module")
+def no_pass_eval():
+    """(graph, params) for an uncompiled small_resnet inference graph."""
+    model = _model("small_resnet")
+    graph = build_inference_graph(model, 2)
+    return graph, CompiledPlan.parameters_from_model(graph, model)
 
 
 def _plan(fixture):
@@ -203,8 +219,10 @@ class TestAbsintMutations:
 # SCA4xx: lowering verification
 # ----------------------------------------------------------------------
 class TestLoweringMutations:
-    def test_clean_plans_verify(self, compiled_train, compiled_eval):
-        for fixture in (compiled_train, compiled_eval):
+    def test_clean_plans_verify(self, compiled_train, compiled_eval,
+                                no_pass_train, no_pass_eval):
+        for fixture in (compiled_train, compiled_eval, no_pass_train,
+                        no_pass_eval):
             assert not verify_lowering(_plan(fixture))
 
     def test_sca401_foreign_kernel(self, compiled_train):

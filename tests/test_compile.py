@@ -19,7 +19,7 @@ from repro.compile import (
     conv_backend_costs, default_pipeline,
 )
 from repro.core import to_split_cnn
-from repro.graph import GraphExecutor, build_inference_graph, build_training_graph
+from repro.graph import build_inference_graph, build_training_graph
 from repro.graph.export import graph_from_dict, graph_to_dict, load_graph, save_graph
 from repro.graph.ir import Graph
 from repro.models import ConvClassifier, small_resnet, small_vgg
@@ -72,7 +72,7 @@ def _build(model, batch, mode):
 
 def _compiled_graph(model, batch, mode):
     graph = _build(model, batch, mode)
-    params = GraphExecutor.parameters_from_model(graph, model)
+    params = CompiledPlan.parameters_from_model(graph, model)
     compile_graph(graph, params=params)
     return graph, params
 
@@ -118,8 +118,8 @@ class TestCompiledIdentity:
         model, x, y = _case(case)
         targets = y if mode == "train" else None
         reference = _build(model, x.shape[0], mode)
-        params = GraphExecutor.parameters_from_model(reference, model)
-        expected = GraphExecutor(reference, params).run(x, targets)
+        params = CompiledPlan.parameters_from_model(reference, model)
+        expected = CompiledPlan(reference, params).run(x, targets)
 
         compiled, params = _compiled_graph(model, x.shape[0], mode)
         plan = CompiledPlan(compiled, params, workers=workers)
@@ -138,7 +138,7 @@ class TestCompiledIdentity:
         model, x, y = _case("vgg:2")
         graph = _build(model, x.shape[0], "infer")
         before = len(graph.ops)
-        params = GraphExecutor.parameters_from_model(graph, model)
+        params = CompiledPlan.parameters_from_model(graph, model)
         report = compile_graph(graph, params=params)
         assert report.ops_after < before
         assert any(op.op_type.endswith("_siblings") for op in graph.ops)
@@ -161,8 +161,8 @@ class TestCompiledIdentity:
         x = rng.standard_normal((2, 3, 32, 32))
         y = np.array([1, 3])
         reference = build_training_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(reference, model)
-        expected = GraphExecutor(reference, params).run(x, y)
+        params = CompiledPlan.parameters_from_model(reference, model)
+        expected = CompiledPlan(reference, params).run(x, y)
 
         graph = build_training_graph(model, 2)
         compile_graph(graph, params=params)
@@ -190,7 +190,7 @@ class TestPassAlgebra:
         graphs = []
         for order in ((FUSE_OPS, FOLD_CONSTANTS), (FOLD_CONSTANTS, FUSE_OPS)):
             graph = _build(model, x.shape[0], "infer")
-            params = GraphExecutor.parameters_from_model(graph, model)
+            params = CompiledPlan.parameters_from_model(graph, model)
             Pipeline(order).run(graph, params=params)
             graphs.append(graph)
         assert _signature(graphs[0]) == _signature(graphs[1])
@@ -275,7 +275,7 @@ class TestBackendSelector:
     def test_zoo_convs_stay_direct(self):
         model, x, y = _case("vgg:2")
         graph = _build(model, x.shape[0], "infer")
-        params = GraphExecutor.parameters_from_model(graph, model)
+        params = CompiledPlan.parameters_from_model(graph, model)
         default_pipeline(select_backends=True).run(graph, params=params)
         assert not any(op.attrs.get("backend") == "fft" for op in graph.ops)
 
@@ -292,20 +292,20 @@ class TestBackendSelector:
         params = {"conv.weight": rng.standard_normal((16, 8, 13, 13))}
         x = rng.standard_normal((2, 8, 64, 64))
 
-        direct = GraphExecutor(_synthetic_fft_graph(), params).run(x)
+        direct = CompiledPlan(_synthetic_fft_graph(), params).run(x)
 
         fft_graph = _synthetic_fft_graph()
         default_pipeline(select_backends=True).run(fft_graph)
-        interp = GraphExecutor(fft_graph, params).run(x)
-        plan = CompiledPlan(fft_graph, params).run(x)
+        fft = CompiledPlan(fft_graph, params).run(x)
+        again = CompiledPlan(fft_graph, params, workers=4).run(x)
 
-        np.testing.assert_allclose(interp["logits"], direct["logits"],
+        np.testing.assert_allclose(fft["logits"], direct["logits"],
                                    rtol=1e-9, atol=1e-9)
         # FFT vs direct is allclose but NOT bitwise -- which is exactly
         # why the selector is opt-in...
-        assert interp["logits"].tobytes() != direct["logits"].tobytes()
-        # ...while compiled-vs-interpreted stays bitwise on ANY pipeline.
-        assert plan["logits"].tobytes() == interp["logits"].tobytes()
+        assert fft["logits"].tobytes() != direct["logits"].tobytes()
+        # ...while the FFT plan itself stays bitwise-repeatable.
+        assert again["logits"].tobytes() == fft["logits"].tobytes()
 
 
 class TestServingCache:

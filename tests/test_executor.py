@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import to_split_cnn
 from repro.graph import build_training_graph
-from repro.graph.executor import GraphExecutor
+from repro.graph.executor import CompiledPlan
 from repro.hmms import HMMSPlanner
 from repro.models import small_resnet, small_vgg
 from repro.nn import CrossEntropyLoss
@@ -33,8 +33,8 @@ def _autograd_step(model, x, y):
 
 def _executor_step(model, x, y, batch):
     graph = build_training_graph(model, batch)
-    params = GraphExecutor.parameters_from_model(graph, model)
-    outputs = GraphExecutor(graph, params).run(x, y)
+    params = CompiledPlan.parameters_from_model(graph, model)
+    outputs = CompiledPlan(graph, params).run(x, y)
     ordered = [t for t in sorted(graph.tensors.values(), key=lambda t: t.id)
                if t.kind == "parameter"]
     grads = [outputs[f"grad({t.name})"] for t in ordered]
@@ -78,48 +78,45 @@ class TestExecutorValidation:
         model = small_vgg(num_classes=3, rng=rng)
         graph = build_training_graph(model, 2)
         with pytest.raises(KeyError):
-            GraphExecutor(graph, {})
+            CompiledPlan(graph, {})
 
     def test_parameter_shape_mismatch(self, rng):
         model = small_vgg(num_classes=3, rng=rng)
         graph = build_training_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(graph, model)
+        params = CompiledPlan.parameters_from_model(graph, model)
         first = next(iter(params))
         params[first] = np.zeros((1, 1))
         with pytest.raises(ValueError):
-            GraphExecutor(graph, params)
+            CompiledPlan(graph, params)
 
     def test_input_shape_mismatch(self, rng):
         model = small_vgg(num_classes=3, rng=rng)
         graph = build_training_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(graph, model)
+        params = CompiledPlan.parameters_from_model(graph, model)
         with pytest.raises(ValueError):
-            GraphExecutor(graph, params).run(np.zeros((5, 3, 32, 32)))
+            CompiledPlan(graph, params).run(np.zeros((5, 3, 32, 32)))
 
     def test_wrong_input_dtype_rejected(self, rng):
         """Regression: a float32 patch used to be silently upcast to
-        float64, hiding the producer's dtype bug; both executors now
-        reject it."""
-        from repro.compile import CompiledPlan
+        float64, hiding the producer's dtype bug; the executor now
+        rejects it."""
         from repro.graph import build_inference_graph
         model = small_vgg(num_classes=3, rng=rng)
         graph = build_inference_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(graph, model)
+        params = CompiledPlan.parameters_from_model(graph, model)
         patch = np.zeros((2, 3, 32, 32), dtype=np.float32)
-        with pytest.raises(TypeError, match="float64"):
-            GraphExecutor(graph, params).run(patch)
         with pytest.raises(TypeError, match="float64"):
             CompiledPlan(graph, params).run(patch)
         # The exact-dtype input still runs.
-        out = GraphExecutor(graph, params).run(patch.astype(np.float64))
+        out = CompiledPlan(graph, params).run(patch.astype(np.float64))
         assert "logits" in out
 
     def test_loss_requires_targets(self, rng):
         model = small_vgg(num_classes=3, rng=rng)
         graph = build_training_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(graph, model)
+        params = CompiledPlan.parameters_from_model(graph, model)
         with pytest.raises(ValueError):
-            GraphExecutor(graph, params).run(
+            CompiledPlan(graph, params).run(
                 np.zeros((2, 3, 32, 32)), targets=None)
 
 
@@ -130,7 +127,7 @@ class TestMeasuredCostModel:
         model = small_vgg(num_classes=3, input_size=16,
                           config=[8, "M", 16, "M"], rng=rng)
         graph = build_training_graph(model, 4)
-        params = GraphExecutor.parameters_from_model(graph, model)
+        params = CompiledPlan.parameters_from_model(graph, model)
         x = rng.standard_normal((4, 3, 16, 16))
         y = np.array([0, 1, 2, 0])
         cost_model = MeasuredCostModel(graph, params, x, y, repetitions=3)
@@ -202,15 +199,15 @@ class TestFinalGradientResolution:
     def test_renumbered_graph_yields_identical_gradients(self, split_case):
         model, x, y = split_case
         graph = build_training_graph(model, 2)
-        params = GraphExecutor.parameters_from_model(graph, model)
-        pristine = GraphExecutor(graph, params).run(x, y)
+        params = CompiledPlan.parameters_from_model(graph, model)
+        pristine = CompiledPlan(graph, params).run(x, y)
 
         renumbered = self._renumber_tensors_descending(
             build_training_graph(model, 2))
         renumbered.validate()            # still a well-formed graph
         for workers in (1, 4):
-            outputs = GraphExecutor(renumbered, params,
-                                    workers=workers).run(x, y)
+            outputs = CompiledPlan(renumbered, params,
+                                   workers=workers).run(x, y)
             assert pristine.keys() == outputs.keys()
             for key in pristine:
                 assert pristine[key].tobytes() == outputs[key].tobytes()
@@ -222,8 +219,8 @@ class TestFinalGradientResolution:
         model, x, y = split_case
         graph = self._renumber_tensors_descending(
             build_training_graph(model, 2))
-        executor = GraphExecutor(
-            graph, GraphExecutor.parameters_from_model(
+        executor = CompiledPlan(
+            graph, CompiledPlan.parameters_from_model(
                 build_training_graph(model, 2), model))
         mismatch = 0
         for param_name, tail_id in executor._final_grads.items():

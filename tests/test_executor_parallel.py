@@ -9,12 +9,14 @@ residual graphs (multi-consumer activations), and dropout (per-op
 seeded masks).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core import to_split_cnn
 from repro.graph import build_training_graph
-from repro.graph.executor import GraphExecutor
+from repro.graph.executor import CompiledPlan
 from repro.models import ConvClassifier, small_resnet, small_vgg
 from repro.nn import Conv2d, Dropout, Linear, ReLU, Sequential
 
@@ -52,6 +54,10 @@ def _case(name):
 CASES = ["vgg", "vgg:2", "vgg:4", "resnet", "resnet:2", "dropout"]
 
 
+def _count_live(slots):
+    return sum(slot is not None for slot in slots)
+
+
 def _outputs_bytes(outputs):
     return {key: value.tobytes() for key, value in outputs.items()}
 
@@ -62,17 +68,17 @@ class TestSerialParallelParity:
     def test_byte_identical_loss_and_gradients(self, case, workers):
         model, x, y = _case(case)
         graph = build_training_graph(model, x.shape[0])
-        params = GraphExecutor.parameters_from_model(graph, model)
-        serial = GraphExecutor(graph, params).run(x, y)
-        parallel = GraphExecutor(graph, params, workers=workers).run(x, y)
+        params = CompiledPlan.parameters_from_model(graph, model)
+        serial = CompiledPlan(graph, params).run(x, y)
+        parallel = CompiledPlan(graph, params, workers=workers).run(x, y)
         assert serial.keys() == parallel.keys()
         assert _outputs_bytes(serial) == _outputs_bytes(parallel)
 
     def test_parallel_run_is_repeatable(self):
         model, x, y = _case("vgg:2")
         graph = build_training_graph(model, x.shape[0])
-        params = GraphExecutor.parameters_from_model(graph, model)
-        executor = GraphExecutor(graph, params, workers=4)
+        params = CompiledPlan.parameters_from_model(graph, model)
+        executor = CompiledPlan(graph, params, workers=4)
         first = _outputs_bytes(executor.run(x, y))
         second = _outputs_bytes(executor.run(x, y))
         assert first == second
@@ -110,8 +116,8 @@ class TestShuffledSerializationFuzz:
     def test_shuffled_order_byte_identical(self, case, seed):
         model, x, y = _case(case)
         graph = build_training_graph(model, x.shape[0])
-        params = GraphExecutor.parameters_from_model(graph, model)
-        baseline = _outputs_bytes(GraphExecutor(graph, params).run(x, y))
+        params = CompiledPlan.parameters_from_model(graph, model)
+        baseline = _outputs_bytes(CompiledPlan(graph, params).run(x, y))
 
         shuffled = build_training_graph(model, x.shape[0])
         order = _shuffled_topo_order(shuffled, seed)
@@ -120,8 +126,8 @@ class TestShuffledSerializationFuzz:
         shuffled.ops = order
         shuffled.validate()      # still a legal serialization
         for workers in (1, 4):
-            outputs = GraphExecutor(shuffled, params,
-                                    workers=workers).run(x, y)
+            outputs = CompiledPlan(shuffled, params,
+                                   workers=workers).run(x, y)
             assert _outputs_bytes(outputs) == baseline
 
 
@@ -133,34 +139,63 @@ class TestEagerFree:
     def test_intermediates_freed_during_run(self, workers):
         model, x, y = _case("vgg:2")
         graph = build_training_graph(model, x.shape[0])
-        params = GraphExecutor.parameters_from_model(graph, model)
-        eager = GraphExecutor(graph, params, workers=workers)
-        keep = GraphExecutor(graph, params, eager_free=False)
+        params = CompiledPlan.parameters_from_model(graph, model)
+        eager = CompiledPlan(graph, params, workers=workers)
+        keep = CompiledPlan(graph, params, eager_free=False)
         eager_out = eager.run(x, y)
         keep_out = keep.run(x, y)
         # Same numbers either way...
         assert _outputs_bytes(eager_out) == _outputs_bytes(keep_out)
         # ...but the eager run retired consumed intermediates and spent
         # contexts on the fly instead of holding one whole step.
-        assert len(eager.values) < len(keep.values)
-        assert not eager._contexts and keep._contexts
-        # Outputs and parameters survive the freeing.
-        for tensor_id in eager._pinned:
-            assert tensor_id in eager.values
+        assert _count_live(eager.values) < _count_live(keep.values)
+        assert not _count_live(eager._contexts)
+        assert _count_live(keep._contexts)
+        # Outputs, gradients and parameters survive the freeing.
+        pinned = ([i for i, v in enumerate(eager._base_values)
+                   if v is not None]
+                  + list(eager._outputs_by_name.values())
+                  + list(eager._final_grads.values()))
+        for tensor_id in pinned:
+            assert eager.values[tensor_id] is not None
 
-    def test_workers_require_context_reuse(self):
+    def test_workers_must_be_positive(self):
         model, x, y = _case("vgg")
         graph = build_training_graph(model, x.shape[0])
-        params = GraphExecutor.parameters_from_model(graph, model)
-        with pytest.raises(ValueError, match="reuse_contexts"):
-            GraphExecutor(graph, params, workers=2, reuse_contexts=False)
+        params = CompiledPlan.parameters_from_model(graph, model)
         with pytest.raises(ValueError, match="workers"):
-            GraphExecutor(graph, params, workers=0)
+            CompiledPlan(graph, params, workers=0)
 
-    def test_replay_mode_disables_eager_free(self):
-        model, x, y = _case("vgg")
+
+# ----------------------------------------------------------------------
+# Failure path: a kernel raising mid-graph
+# ----------------------------------------------------------------------
+class TestKernelFailure:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_failure_surfaces_and_plan_reruns_clean(self, workers):
+        """The exception reaches the caller, no worker thread outlives
+        the run, and the same plan object then re-runs byte-identically
+        to a clean run."""
+        model, x, y = _case("vgg:2")
         graph = build_training_graph(model, x.shape[0])
-        params = GraphExecutor.parameters_from_model(graph, model)
-        executor = GraphExecutor(graph, params, reuse_contexts=False)
-        assert not executor.eager_free
-        executor.run(x, y)       # replay re-reads forward inputs late
+        params = CompiledPlan.parameters_from_model(graph, model)
+        clean = _outputs_bytes(CompiledPlan(graph, params).run(x, y))
+
+        plan = CompiledPlan(graph, params, workers=workers)
+        index = len(plan._steps) // 2
+        kernel, op = plan._steps[index]
+        calls = []
+
+        def fails_once(executor, op):
+            calls.append(op.id)
+            if len(calls) == 1:
+                raise RuntimeError("injected kernel failure")
+            kernel(executor, op)
+
+        plan._steps[index] = (fails_once, op)
+        threads_before = threading.active_count()
+        with pytest.raises(RuntimeError, match="injected kernel failure"):
+            plan.run(x, y)
+        assert threading.active_count() == threads_before
+        assert _outputs_bytes(plan.run(x, y)) == clean
+        assert len(calls) == 2

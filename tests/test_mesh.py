@@ -18,7 +18,7 @@ from repro.experiments.distributed import (
 )
 from repro.distributed import TrainingProfile
 from repro.graph import build_inference_graph
-from repro.graph.executor import GraphExecutor
+from repro.graph.executor import CompiledPlan
 from repro.mesh import (
     MeshPartitioner, MeshSimulator, build_mesh, run_pipeline_numeric,
     run_spatial_numeric,
@@ -221,8 +221,8 @@ class TestNumericIdentity:
         x = np.random.RandomState(0).rand(
             2, 3, split.input_size, split.input_size)
         graph = build_inference_graph(split, 2)
-        executor = GraphExecutor(
-            graph, GraphExecutor.parameters_from_model(graph, split))
+        executor = CompiledPlan(
+            graph, CompiledPlan.parameters_from_model(graph, split))
         return split, x, executor.run(x)["logits"]
 
     @pytest.mark.parametrize("devices", [1, 2, 3, 4])
@@ -237,8 +237,8 @@ class TestNumericIdentity:
         x = np.random.RandomState(1).rand(
             2, 3, split.input_size, split.input_size)
         graph = build_inference_graph(split, 2)
-        executor = GraphExecutor(
-            graph, GraphExecutor.parameters_from_model(graph, split))
+        executor = CompiledPlan(
+            graph, CompiledPlan.parameters_from_model(graph, split))
         expected = executor.run(x)["logits"]
         plan = MeshPartitioner(5).spatial(split, batch=2)
         assert run_spatial_numeric(plan, x)["logits"].tobytes() == \
@@ -250,8 +250,8 @@ class TestNumericIdentity:
         x = np.random.RandomState(2).rand(
             2, 3, model.input_size, model.input_size)
         graph = build_inference_graph(model, 2)
-        executor = GraphExecutor(
-            graph, GraphExecutor.parameters_from_model(graph, model))
+        executor = CompiledPlan(
+            graph, CompiledPlan.parameters_from_model(graph, model))
         expected = executor.run(x)["logits"]
         plan = MeshPartitioner(devices).pipeline(model, batch=2)
         assert run_pipeline_numeric(plan, x)["logits"].tobytes() == \
@@ -377,15 +377,29 @@ class TestRunWithInputs:
     def test_missing_input_raises(self):
         plan = MeshPartitioner(2).spatial(_small_split(), batch=2)
         tail = next(a for a in plan.assignments if a.role == "tail")
-        executor = GraphExecutor(tail.graph, tail.params)
+        executor = CompiledPlan(tail.graph, tail.params)
         with pytest.raises(ValueError, match="unbound graph inputs"):
             executor.run_with_inputs({})
+
+    def test_single_input_run_of_multi_input_graph_raises(self):
+        """Regression: ``run`` on a 4-input spatial assignment bound one
+        input and died inside a kernel (a bare AssertionError, or an
+        AttributeError on None under ``python -O``).  It now goes
+        through the shared ``run_with_inputs`` validation."""
+        plan = MeshPartitioner(4).spatial(_small_split(), batch=2)
+        tail = next(a for a in plan.assignments if a.role == "tail")
+        inputs = [t for t in tail.graph.tensors.values()
+                  if t.kind == "input"]
+        assert len(inputs) == 4
+        executor = CompiledPlan(tail.graph, tail.params)
+        with pytest.raises(ValueError, match="unbound graph inputs"):
+            executor.run(np.zeros(inputs[0].shape))
 
     def test_unknown_input_raises(self):
         model = build_model("small_vgg")
         graph = build_inference_graph(model, 2)
-        executor = GraphExecutor(
-            graph, GraphExecutor.parameters_from_model(graph, model))
+        executor = CompiledPlan(
+            graph, CompiledPlan.parameters_from_model(graph, model))
         input_id = next(t.id for t in graph.tensors.values()
                         if t.kind == "input")
         x = np.zeros((2, 3, model.input_size, model.input_size))
@@ -395,8 +409,8 @@ class TestRunWithInputs:
     def test_shape_mismatch_raises(self):
         model = build_model("small_vgg")
         graph = build_inference_graph(model, 2)
-        executor = GraphExecutor(
-            graph, GraphExecutor.parameters_from_model(graph, model))
+        executor = CompiledPlan(
+            graph, CompiledPlan.parameters_from_model(graph, model))
         input_id = next(t.id for t in graph.tensors.values()
                         if t.kind == "input")
         with pytest.raises(ValueError, match="shape"):

@@ -6,7 +6,7 @@ import pytest
 from repro.core import to_split_cnn
 from repro.graph import build_training_graph
 from repro.graph.builder import GraphBuilder
-from repro.graph.executor import GraphExecutor
+from repro.graph.executor import CompiledPlan
 from repro.hmms import HMMSPlanner
 from repro.models import small_vgg
 from repro.profile import CostModel
@@ -71,8 +71,8 @@ class TestPatchOrder:
         losses = {}
         for order in ("depth_first", "breadth_first"):
             graph = build_training_graph(split_model, 2, patch_order=order)
-            params = GraphExecutor.parameters_from_model(graph, split_model)
-            outputs = GraphExecutor(graph, params).run(x, y)
+            params = CompiledPlan.parameters_from_model(graph, split_model)
+            outputs = CompiledPlan(graph, params).run(x, y)
             losses[order] = float(outputs["loss"][0])
         assert losses["depth_first"] == pytest.approx(
             losses["breadth_first"], rel=1e-12)
