@@ -15,7 +15,10 @@ model and its 4-patch Split-CNN twin.  Shape claims:
   of plans and serves the rest from the cache.
 """
 
-from repro.serve import BenchConfig, ServingEngine, run_bench
+from repro.hmms import PlanCache
+from repro.serve import (
+    FleetBenchConfig, FleetScheduler, SLOClass, TenantConfig, run_fleet_bench,
+)
 
 from _util import run_once, save_and_print
 
@@ -25,24 +28,36 @@ FLUSH_TIMEOUTS_MS = (1.0, 5.0, 20.0)
 BATCH_CAPS = (64, 256, None)          # None -> the discovered maximum
 
 
-def _sweep(engine):
+def _sweep(split):
+    """Nine serve-bench cells (one-tenant flush-only fleets) over one
+    shared plan cache; returns the rows and the uncapped engine."""
+    cache = PlanCache()
     rows = []
     for flush_ms in FLUSH_TIMEOUTS_MS:
         for cap in BATCH_CAPS:
-            config = BenchConfig(
-                rps=RPS, duration=DURATION, queue_depth=1024,
-                flush_timeout=flush_ms / 1e3, max_batch_images=cap)
-            plans_before = engine.replans
-            metrics = run_bench(engine, config)
+            tenant = TenantConfig(
+                name="vgg11", model="vgg11", split=split, rps=RPS,
+                slo=SLOClass("sweep", deadline=None,
+                             flush_timeout=flush_ms / 1e3),
+                queue_depth=1024, max_replicas=1,
+                **({} if cap is None else {"batch_cap": cap}))
+            config = FleetBenchConfig(tenants=[tenant], duration=DURATION,
+                                      continuous=False, autoscale=False)
+            plans_before = cache.misses
+            fleet, metrics = run_fleet_bench(config, FleetScheduler(
+                config.tenants, continuous=False, autoscale=False,
+                cache=cache))
+            engine = fleet.tenants["vgg11"].engine
+            served = metrics.tenant("vgg11")
             rows.append({
                 "flush_ms": flush_ms,
-                "cap": cap if cap is not None else engine.max_batch,
-                "throughput": metrics.throughput(DURATION)["images_per_s"],
-                "p99_ms": metrics.latency.p(99) * 1e3,
-                "plans_built": engine.replans - plans_before,
-                "completed": metrics.completed_requests,
+                "cap": engine.max_batch,
+                "throughput": served.throughput(DURATION)["images_per_s"],
+                "p99_ms": served.latency.p(99) * 1e3,
+                "plans_built": cache.misses - plans_before,
+                "completed": served.completed_requests,
             })
-    return rows
+    return rows, engine
 
 
 def _render(label, engine, rows):
@@ -59,25 +74,22 @@ def _render(label, engine, rows):
 
 
 def test_serve_throughput_sweep(benchmark):
-    engines = {
-        "vgg11 unsplit": ServingEngine.from_zoo("vgg11"),
-        "vgg11 split 2x2": ServingEngine.from_zoo("vgg11", split=4),
-    }
+    splits = {"vgg11 unsplit": 1, "vgg11 split 2x2": 4}
 
     def sweep_all():
-        return {label: _sweep(engine) for label, engine in engines.items()}
+        return {label: _sweep(split) for label, split in splits.items()}
 
     results = run_once(benchmark, sweep_all)
-    text = "\n\n".join(_render(label, engines[label], results[label])
-                       for label in engines)
+    text = "\n\n".join(_render(label, engine, rows)
+                       for label, (rows, engine) in results.items())
     save_and_print("serve_throughput", text)
 
-    base = engines["vgg11 unsplit"]
-    split = engines["vgg11 split 2x2"]
+    base = results["vgg11 unsplit"][1]
+    split = results["vgg11 split 2x2"][1]
     # Figure 10's gain on the serving side: split capacity strictly wins.
     assert split.max_batch > base.max_batch
 
-    for label, rows in results.items():
+    for label, (rows, _) in results.items():
         for row in rows:
             assert row["completed"] > 0, (label, row)
         # Cache effectiveness: a 9-cell sweep re-plans only for buckets it

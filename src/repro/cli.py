@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser(
         "serve-bench",
-        help="open-loop serving benchmark (queue -> batcher -> engine)")
+        help="open-loop serving benchmark: a one-tenant, flush-only fleet "
+             "(queue -> batcher -> engine)")
     serve.add_argument("model")
     serve.add_argument("--rps", type=float, default=100.0,
                        help="offered Poisson request rate")
@@ -154,7 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-depth", type=int, default=256,
                        help="admission queue bound (requests)")
     serve.add_argument("--max-batch", type=int, default=None,
-                       help="cap batches below the discovered maximum")
+                       help="largest batch in images; must not exceed the "
+                            "discovered maximum")
     serve.add_argument("--deadline-ms", type=float, default=None,
                        help="per-request latency budget (ms)")
     serve.add_argument("--request-size", type=int, default=1,
@@ -525,38 +527,54 @@ def _cmd_verify_plan(args) -> int:
 
 
 def _cmd_serve_bench(args) -> int:
-    from .serve import BenchConfig, ServingEngine, render_report, run_bench
-
-    engine = ServingEngine.from_zoo(args.model, split=args.split,
-                                    split_depth=args.split_depth,
-                                    numeric=args.numeric,
-                                    workers=args.workers,
-                                    compile_plans=args.compile)
-    config = BenchConfig(
-        rps=args.rps,
-        duration=args.duration,
-        seed=args.seed,
-        request_size=args.request_size,
-        flush_timeout=args.flush_ms / 1e3,
-        queue_depth=args.queue_depth,
-        max_batch_images=args.max_batch,
-        deadline=args.deadline_ms / 1e3 if args.deadline_ms is not None
-        else None,
+    from .serve import (
+        FleetBenchConfig, FleetScheduler, SLOClass, TenantConfig,
+        render_report, run_fleet_bench,
     )
-    metrics = run_bench(engine, config)
-    print(render_report(engine, config, metrics))
-    # Cache-stats invariants: every miss is either resident or evicted,
-    # and every executed batch went through exactly one cache lookup.
+
+    caps = {} if args.max_batch is None else {"batch_cap": args.max_batch}
+    try:
+        slo = SLOClass(
+            "serve-bench", flush_timeout=args.flush_ms / 1e3,
+            deadline=args.deadline_ms / 1e3
+            if args.deadline_ms is not None else None)
+        tenant = TenantConfig(
+            name=args.model, model=args.model, split=args.split,
+            split_depth=args.split_depth, slo=slo, rps=args.rps,
+            request_size=args.request_size, queue_depth=args.queue_depth,
+            max_replicas=1, **caps)
+        config = FleetBenchConfig(tenants=[tenant], duration=args.duration,
+                                  seed=args.seed, continuous=False,
+                                  autoscale=False, compile_plans=args.compile)
+    except ValueError as error:
+        raise _UsageError(str(error)) from None
+    fleet = FleetScheduler(config.tenants, continuous=config.continuous,
+                           autoscale=config.autoscale,
+                           compile_plans=config.compile_plans,
+                           numeric=args.numeric, workers=args.workers)
+    engine = fleet.tenants[tenant.name].engine
+    if args.max_batch is not None and args.max_batch > engine.max_batch:
+        raise _UsageError(
+            f"--max-batch {args.max_batch} exceeds the discovered maximum "
+            f"of {engine.max_batch} images for {engine.model.name} "
+            f"(batch buckets are powers of two)")
     cache = engine.cache
+    partition_lookups = cache.hits + cache.misses
+    fleet, metrics = run_fleet_bench(config, fleet)
+    print(render_report(fleet, config, metrics))
+    # Cache-stats invariants: every miss is either resident or evicted,
+    # and every lookup is either the capacity partition's (made while
+    # the fleet was built) or exactly one per executed batch.
     stats_ok = (cache.misses == len(cache) + cache.evictions
-                and cache.hits + cache.misses == engine.executed_batches)
+                and cache.hits + cache.misses
+                == partition_lookups + engine.executed_batches)
     print(f"plan cache         : {cache.hits} hits / {cache.misses} misses "
           f"/ {cache.evictions} evictions / {len(cache)} resident "
           f"(fingerprint {engine.pipeline_fingerprint}) "
           f"[invariant {'ok' if stats_ok else 'VIOLATED'}]")
     if not stats_ok:
         return 1
-    return 0 if metrics.completed_requests else 1
+    return 0 if metrics.tenant(tenant.name).completed_requests else 1
 
 
 def _parse_tenant_spec(spec: str, index: int):

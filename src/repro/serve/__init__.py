@@ -2,13 +2,14 @@
 
 The serving side of the reproduction: forward-only inference graphs
 planned by HMMS, verified by :mod:`repro.hmms.verify`, cached per
-``(model, split scheme, batch, pipeline fingerprint)``, and driven by an
-event-loop of admission queue -> dynamic batcher -> engine on a
-simulated clock.  On top of the single-tenant pipeline sits the fleet
-runtime (:mod:`repro.serve.fleet`): N engines co-resident on one device
-with shared memory accounting, per-tenant SLO classes and quotas,
-continuous batching at wavefront-step boundaries, and a replica
-autoscaler.  See ``docs/serving.md`` and ``docs/fleet_serving.md``.
+``(model, split scheme, batch, pipeline fingerprint)``, and driven by
+admission queue -> dynamic batcher -> engine on a simulated clock.  One
+event loop drives that pipeline, the fleet runtime
+(:mod:`repro.serve.fleet`): N engines co-resident on one device with
+shared memory accounting, per-tenant SLO classes and quotas, continuous
+batching at wavefront-step boundaries, and a replica autoscaler.
+``serve-bench`` runs it as a one-tenant, one-replica, flush-only fleet.
+See ``docs/serving.md`` and ``docs/fleet_serving.md``.
 """
 
 from .batcher import DynamicBatcher
@@ -18,13 +19,12 @@ from .fleet import (
     wavefront_steps,
 )
 from .loadgen import (
-    BenchConfig, FleetBenchConfig, fleet_arrivals, poisson_arrivals,
-    render_fleet_report, render_report, run_bench, run_fleet_bench,
+    FleetBenchConfig, fleet_arrivals, render_fleet_report, render_report,
+    run_fleet_bench,
 )
 from .metrics import LatencyHistogram, ServingMetrics, percentile
 from .queue import AdmissionQueue, OversizeRequestError
 from .request import DenseRequest, Request
-from .server import Server
 from .slo import BATCH, INTERACTIVE, SLO_CLASSES, STANDARD, SLOClass
 
 __all__ = [
@@ -32,9 +32,8 @@ __all__ = [
     "AdmissionQueue", "OversizeRequestError",
     "DynamicBatcher",
     "ServingEngine", "CachedBatchPlan",
-    "Server",
     "LatencyHistogram", "ServingMetrics", "percentile",
-    "BenchConfig", "poisson_arrivals", "run_bench", "render_report",
+    "render_report",
     "SLOClass", "INTERACTIVE", "STANDARD", "BATCH", "SLO_CLASSES",
     "TenantConfig", "DeviceLedger", "FleetMetrics", "FleetScheduler",
     "wavefront_steps",

@@ -340,17 +340,24 @@ class ServingEngine:
                     "dense requests execute alone; got a batch of "
                     f"{len(requests)} requests containing a DenseRequest")
             return self._execute_dense(requests[0])
+        return self.run_entry(
+            self.entry_for(sum(r.size for r in requests)), requests)
+
+    def run_entry(self, entry: CachedBatchPlan,
+                  requests: List[Request]) -> float:
+        """Charge one classification batch to ``entry`` and run it.
+
+        Counts the batch, its images and its bucket padding; with
+        ``numeric`` also runs the forward pass and keeps each request's
+        logits.  Returns the simulated latency.  :meth:`execute` and the
+        fleet both dispatch through here, so the counters have one owner.
+        """
         images = sum(r.size for r in requests)
-        entry = self.entry_for(images)
         self.executed_batches += 1
         self.executed_images += images
         self.padded_images += entry.batch - images
-        if entry.executor is not None:
-            self._run_numeric(entry, requests, images)
-        return entry.latency
-
-    def _run_numeric(self, entry: CachedBatchPlan, requests: List[Request],
-                     images: int) -> None:
+        if entry.executor is None:
+            return entry.latency
         input_tensor = next(t for t in entry.graph.tensors.values()
                             if t.kind == "input")
         batch_input = self._rng.standard_normal(input_tensor.shape)
@@ -367,6 +374,7 @@ class ServingEngine:
                 logits[offset:offset + request.size].copy()
             offset += request.size
         entry.executor.release_intermediates()
+        return entry.latency
 
     def logits_for(self, request: Request) -> np.ndarray:
         """Logits of ``request`` from the most recent numeric batch."""

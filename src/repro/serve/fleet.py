@@ -2,9 +2,10 @@
 
 Split-CNN's memory reduction turns into *fleet* headroom: the smaller
 each model's forward peak, the more models (and the bigger their
-batches) one accelerator can host at once.  This module grows the
-single-tenant ``queue -> batcher -> engine`` pipeline into a fleet
-runtime:
+batches) one accelerator can host at once.  This module is the repo's
+one serving event loop: it drives a ``queue -> batcher -> engine``
+pipeline per tenant.  ``serve-bench`` runs it as a one-tenant,
+one-replica, flush-only fleet; the multi-tenant features are:
 
 - **Tenants**: each :class:`TenantConfig` names a model variant (zoo
   name x split scheme), an SLO class (deadline tier -> flush timeout),
@@ -52,6 +53,14 @@ __all__ = [
     "wavefront_steps",
 ]
 
+#: The autoscaler scales a tenant up when its queued images exceed this
+#: many bucket caps (a batch's worth of work is waiting that the current
+#: replicas cannot absorb).
+SCALE_UP_QUEUE_FACTOR = 1.0
+#: Sliding window (simulated seconds) for the windowed p99 the
+#: autoscaler compares against a tenant's deadline.
+SLO_WINDOW = 1.0
+
 
 # ----------------------------------------------------------------------
 # Configuration
@@ -68,6 +77,10 @@ class TenantConfig:
     rps: float = 100.0                  # offered Poisson rate (loadgen)
     request_size: int = 1               # images per request
     queue_depth: int = 256              # admission quota (requests)
+    # Bound on queued *work* (a dense request weighs its whole patch
+    # total) on top of the request-depth bound — what makes admission
+    # control bound memory when classification and dense traffic mix.
+    max_pending_images: Optional[int] = None
     max_replicas: int = 4
     batch_cap: int = 4096               # upper bound for capacity search
 
@@ -252,6 +265,9 @@ class _Tenant:
 class FleetScheduler:
     """Hosts N serving engines on one simulated device.
 
+    This is the only serving event loop; ``serve-bench`` runs it with
+    one tenant, one replica, ``continuous=False`` and no autoscaler.
+
     Parameters
     ----------
     tenants: the fleet's tenant configs (order is scheduling priority on
@@ -260,19 +276,18 @@ class FleetScheduler:
     device: the shared accelerator; its ``memory_capacity`` seeds the
         :class:`DeviceLedger`.
     continuous: admit requests into in-flight batches at wavefront-step
-        boundaries.  ``False`` reproduces single-tenant flush-only
-        dispatch (each batch occupies its replica atomically) — kept as
-        the baseline the continuous mode is benchmarked against.
+        boundaries.  ``False`` is flush-only dispatch (each batch
+        occupies its replica atomically): ``serve-bench``'s mode, and
+        the baseline continuous batching is benchmarked against.
     autoscale: enable the replica autoscaler.
     autoscale_interval: simulated seconds between autoscaler ticks.
-    scale_up_queue_factor: scale up when a tenant's queued images exceed
-        ``factor * bucket_cap`` (a batch's worth of work is waiting that
-        the current replicas cannot absorb).
-    slo_window: sliding window (seconds) for the windowed p99 the
-        autoscaler compares against the tenant's deadline.
     idle_timeout: retire a replica idle this long (never below one
         replica per tenant).
-    compile_plans: forward to every tenant's engine.
+    compile_plans, numeric, workers: forwarded to every tenant's engine.
+        ``numeric`` needs ``continuous=False``: a request that joins an
+        in-flight batch gets no forward pass of its own.
+    cache: the plan cache every engine shares; a fresh one by default.
+        Passing one in keeps plans warm across fleets.
     """
 
     def __init__(
@@ -282,38 +297,39 @@ class FleetScheduler:
         continuous: bool = True,
         autoscale: bool = True,
         autoscale_interval: float = 0.25,
-        scale_up_queue_factor: float = 1.0,
-        slo_window: float = 1.0,
         idle_timeout: float = 0.5,
-        verify_plans: bool = True,
         compile_plans: bool = False,
-        cache_capacity: int = 64,
+        numeric: bool = False,
+        workers: int = 1,
+        cache: Optional[PlanCache] = None,
     ) -> None:
         if not tenants:
             raise ValueError("a fleet needs at least one tenant")
         names = [t.name for t in tenants]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate tenant names: {names}")
+        if numeric and continuous:
+            raise ValueError(
+                "numeric serving needs continuous=False: requests that "
+                "join an in-flight batch would get no logits")
         self.device = device
         self.continuous = continuous
         self.autoscale = autoscale
         self.autoscale_interval = autoscale_interval
-        self.scale_up_queue_factor = scale_up_queue_factor
-        self.slo_window = slo_window
         self.idle_timeout = idle_timeout
         self.ledger = DeviceLedger(device.memory_capacity)
         #: One plan cache for the whole fleet: keys carry model, split
         #: scheme, bucket and pipeline fingerprint, so tenants serving
         #: the same variant share plans instead of building twins.
-        self.cache = PlanCache(capacity=cache_capacity)
+        self.cache = cache if cache is not None else PlanCache()
         self.metrics = FleetMetrics(names)
         self.tenants: Dict[str, _Tenant] = {}
         for config in tenants:
             engine = ServingEngine.from_zoo(
                 config.model, split=config.split,
                 split_depth=config.split_depth, device=device,
-                verify_plans=verify_plans, compile_plans=compile_plans,
-                batch_cap=config.batch_cap)
+                compile_plans=compile_plans, numeric=numeric,
+                workers=workers, batch_cap=config.batch_cap)
             engine.cache = self.cache
             self.tenants[config.name] = _Tenant(
                 config=config, engine=engine,
@@ -372,7 +388,8 @@ class FleetScheduler:
             tenant.reservation = self._plan_peak(tenant, caps[name])
             tenant.queue = AdmissionQueue(
                 max_depth=tenant.config.queue_depth,
-                max_request_size=caps[name])
+                max_request_size=caps[name],
+                max_pending_images=tenant.config.max_pending_images)
             tenant.batcher = DynamicBatcher(
                 max_batch_images=caps[name],
                 flush_timeout=tenant.config.slo.flush_timeout)
@@ -498,13 +515,9 @@ class FleetScheduler:
         images = sum(r.size for r in batch)
         entry = tenant.engine.entry_for(images)
         steps = self._steps_for(tenant, entry)
-        metrics = self.metrics.tenant(tenant.config.name)
-        metrics.batches += 1
-        metrics.batch_sizes[images] += 1
-        engine = tenant.engine
-        engine.executed_batches += 1
-        engine.executed_images += images
-        engine.padded_images += entry.batch - images
+        metrics_t.batches += 1
+        metrics_t.batch_sizes[images] += 1
+        tenant.engine.run_entry(entry, batch)
         replica.bucket = entry.batch
         replica.dense = False
         replica.step_index = 0
@@ -594,7 +607,7 @@ class FleetScheduler:
     # Autoscaler
     # ------------------------------------------------------------------
     def _windowed_p99(self, tenant: _Tenant, now: float) -> Optional[float]:
-        cutoff = now - self.slo_window
+        cutoff = now - SLO_WINDOW
         tenant.window = [(t, lat) for t, lat in tenant.window if t >= cutoff]
         if not tenant.window:
             return None
@@ -605,7 +618,7 @@ class FleetScheduler:
             name = tenant.config.name
             p99 = self._windowed_p99(tenant, now)
             backlog = tenant.queue.pending_images \
-                > self.scale_up_queue_factor * tenant.bucket_cap
+                > SCALE_UP_QUEUE_FACTOR * tenant.bucket_cap
             breaching = (tenant.config.slo.deadline is not None
                          and p99 is not None
                          and p99 > tenant.config.slo.deadline)

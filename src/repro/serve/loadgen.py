@@ -1,4 +1,4 @@
-"""Open-loop Poisson load generation and the serve-bench driver.
+"""Open-loop Poisson load generation, the fleet bench and its reports.
 
 Open-loop means arrivals do not wait for responses — the generator fires
 at the offered rate no matter how far the server falls behind, which is
@@ -6,7 +6,9 @@ what exposes queueing collapse and makes admission control earn its keep
 (a closed-loop generator self-throttles and hides both).
 
 Inter-arrival gaps are exponential draws from a seeded generator, so a
-``(rps, duration, seed)`` triple names one exact trace.
+``(tenants, duration, seed)`` triple names one exact trace.  serve-bench
+is the one-tenant case: a flush-only fleet with one replica and no
+autoscaler, reported by :func:`render_report`.
 """
 
 from __future__ import annotations
@@ -16,74 +18,15 @@ from typing import List, Optional
 
 import numpy as np
 
-from .engine import ServingEngine
 from .fleet import FleetMetrics, FleetScheduler, TenantConfig
-from .metrics import ServingMetrics
 from .request import Request
-from .server import Server
 
 __all__ = [
-    "BenchConfig", "poisson_arrivals", "run_bench", "render_report",
     "FleetBenchConfig", "fleet_arrivals", "run_fleet_bench",
-    "render_fleet_report",
+    "render_report", "render_fleet_report",
 ]
 
 
-@dataclass
-class BenchConfig:
-    """One serve-bench run, fully determined by its fields."""
-
-    rps: float = 100.0                 # offered request rate
-    duration: float = 5.0              # arrival window, simulated seconds
-    seed: int = 0
-    request_size: int = 1              # images per request
-    flush_timeout: float = 0.005
-    queue_depth: int = 256
-    max_batch_images: Optional[int] = None   # None -> engine's discovered max
-    deadline: Optional[float] = None   # per-request latency budget, seconds
-
-    def __post_init__(self) -> None:
-        if self.rps <= 0:
-            raise ValueError(f"rps must be positive, got {self.rps}")
-        if self.duration <= 0:
-            raise ValueError(
-                f"duration must be positive, got {self.duration}")
-
-
-def poisson_arrivals(config: BenchConfig) -> List[Request]:
-    """The arrival trace of one bench run (sorted by arrival time)."""
-    rng = np.random.default_rng(config.seed)
-    arrivals: List[Request] = []
-    now = 0.0
-    while True:
-        now += rng.exponential(1.0 / config.rps)
-        if now >= config.duration:
-            return arrivals
-        deadline = now + config.deadline if config.deadline is not None \
-            else None
-        arrivals.append(Request(id=len(arrivals), arrival_time=now,
-                                size=config.request_size, deadline=deadline))
-
-
-def run_bench(engine: ServingEngine,
-              config: BenchConfig) -> ServingMetrics:
-    """Run one open-loop bench against a fresh :class:`Server`."""
-    server = Server(
-        engine,
-        flush_timeout=config.flush_timeout,
-        queue_depth=config.queue_depth,
-        max_batch_images=config.max_batch_images,
-    )
-    metrics = server.run(poisson_arrivals(config))
-    # Every arrival must land in exactly one bucket; an imbalance here is
-    # a runtime bug, not a workload property.
-    metrics.check_accounting(still_queued=len(server.queue))
-    return metrics
-
-
-# ----------------------------------------------------------------------
-# Fleet benches
-# ----------------------------------------------------------------------
 @dataclass
 class FleetBenchConfig:
     """One fleet bench run, fully determined by its fields.
@@ -145,7 +88,7 @@ def run_fleet_bench(config: FleetBenchConfig,
     warm fleet reuses its plan cache across runs).  The accounting
     invariant is re-checked here per tenant and globally even though
     ``FleetScheduler.run`` already enforces it — the bench is the
-    contract's last line of defense, same as ``run_bench``.
+    contract's last line of defense.
     """
     if fleet is None:
         fleet = FleetScheduler(config.tenants,
@@ -160,18 +103,21 @@ def run_fleet_bench(config: FleetBenchConfig,
 # ----------------------------------------------------------------------
 # Reporting
 # ----------------------------------------------------------------------
-def render_report(engine: ServingEngine, config: BenchConfig,
-                  metrics: ServingMetrics) -> str:
-    """The one-screen serve-bench report."""
+def render_report(fleet: FleetScheduler, config: FleetBenchConfig,
+                  fleet_metrics: FleetMetrics) -> str:
+    """The one-screen serve-bench report of a one-tenant fleet."""
+    (tenant,) = config.tenants
+    engine = fleet.tenants[tenant.name].engine
+    metrics = fleet_metrics.tenant(tenant.name)
     lines: List[str] = []
     lines.append(f"serve-bench — {engine.model.name}")
-    lines.append(f"offered load     : {config.rps:g} req/s x "
+    lines.append(f"offered load     : {tenant.rps:g} req/s x "
                  f"{config.duration:g} s (Poisson, seed {config.seed}, "
-                 f"{config.request_size} img/req)")
+                 f"{tenant.request_size} img/req)")
     lines.append(f"max batch        : "
                  f"{engine.max_batch} images (discovered), "
-                 f"flush timeout {config.flush_timeout * 1e3:g} ms, "
-                 f"queue depth {config.queue_depth}")
+                 f"flush timeout {tenant.slo.flush_timeout * 1e3:g} ms, "
+                 f"queue depth {tenant.queue_depth}")
     lines.append(f"requests         : {metrics.arrived} arrived / "
                  f"{metrics.admitted} admitted / "
                  f"{metrics.completed_requests} completed")

@@ -113,14 +113,6 @@ class ServingMetrics:
             self.rejected_queue_full += 1
         self.queue_depths.append(depth_after)
 
-    def record_batch(self, requests: List[Request],
-                     completion_time: float) -> None:
-        self.batches += 1
-        images = sum(r.size for r in requests)
-        self.batch_sizes[images] += 1
-        for request in requests:
-            self.record_completion(request, completion_time)
-
     def record_completion(self, request: Request,
                           completion_time: float) -> None:
         """One request finished.  Under continuous batching requests

@@ -5,6 +5,7 @@ found problems, 2 = usage or internal error (matching argparse).
 """
 
 import json
+import re
 
 import pytest
 
@@ -96,6 +97,39 @@ class TestCommands:
         assert main(["serve-bench", "small_vgg", "--rps", "50",
                      "--duration", "0.5", "--split", "4"]) == 0
         assert "split2x2" in capsys.readouterr().out
+
+    def test_serve_bench_flush_past_deadline_exits_two(self, capsys):
+        # The batcher would hold requests past the instant they expire.
+        assert main(["serve-bench", "small_resnet", "--rps", "50",
+                     "--duration", "0.5", "--deadline-ms", "2",
+                     "--flush-ms", "5"]) == 2
+        assert "exceeds the deadline" in capsys.readouterr().err
+
+    def test_serve_bench_max_batch_above_discovered_exits_two(self, capsys):
+        assert main(["serve-bench", "vgg11", "--rps", "50",
+                     "--duration", "0.5", "--max-batch", "1024"]) == 2
+        assert "discovered maximum of 512" in capsys.readouterr().err
+
+    def test_serve_bench_numeric_runs_every_batch(self, capsys, monkeypatch):
+        from repro.graph import CompiledPlan
+
+        argv = ["serve-bench", "small_resnet", "--rps", "50",
+                "--duration", "0.5"]
+        assert main(argv) == 0
+        simulated = capsys.readouterr().out
+        runs = []
+        original = CompiledPlan.run
+
+        def counting(self, *args, **kwargs):
+            runs.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompiledPlan, "run", counting)
+        assert main(argv + ["--numeric", "--workers", "2"]) == 0
+        numeric = capsys.readouterr().out
+        assert numeric == simulated
+        batches = int(re.search(r"engine +: (\d+) batches", numeric)[1])
+        assert batches > 0 and len(runs) == batches
 
 
 class TestLint:

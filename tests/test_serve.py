@@ -1,4 +1,5 @@
-"""Tests for the serving runtime: queue, batcher, engine, server, bench."""
+"""Tests for the serving runtime: queue, batcher, engine, and the
+serve-bench loop (a one-tenant, one-replica, flush-only fleet)."""
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from repro.hmms import (
 from repro.models import build_model, small_resnet, small_vgg
 from repro.nn import init
 from repro.serve import (
-    AdmissionQueue, BenchConfig, DenseRequest, DynamicBatcher,
-    OversizeRequestError, Request, Server, ServingEngine, ServingMetrics,
-    percentile, poisson_arrivals, run_bench,
+    AdmissionQueue, DenseRequest, DynamicBatcher, FleetBenchConfig,
+    FleetScheduler, OversizeRequestError, Request, ServingEngine,
+    ServingMetrics, SLOClass, TenantConfig, fleet_arrivals, percentile,
 )
 
 
@@ -22,6 +23,39 @@ def make_engine(**kwargs) -> ServingEngine:
     kwargs.setdefault("batch_cap", 8)
     model = small_resnet(rng=np.random.default_rng(0))
     return ServingEngine(model, **kwargs)
+
+
+def bench_tenant(flush_timeout=0.005, deadline=None, **kwargs):
+    """The tenant serve-bench runs: one replica, CIFAR-scale model,
+    capacity search capped at 8."""
+    kwargs.setdefault("model", "small_resnet")
+    kwargs.setdefault("batch_cap", 8)
+    slo = SLOClass("bench", deadline=deadline, flush_timeout=flush_timeout)
+    return TenantConfig(name="t", slo=slo, max_replicas=1, **kwargs)
+
+
+def bench_fleet(tenant, **kwargs):
+    """A one-tenant, flush-only fleet without autoscaler: serve-bench."""
+    return FleetScheduler([tenant], continuous=False, autoscale=False,
+                          **kwargs)
+
+
+def run_serve_bench(tenant, duration, seed=0, request_deadline=None,
+                    **kwargs):
+    """Replay one Poisson trace through :func:`bench_fleet`; returns the
+    fleet and the tenant's metrics.  ``request_deadline`` stamps every
+    request's deadline directly, for regimes whose flush timer outlasts
+    the deadline (which :class:`SLOClass` rejects)."""
+    config = FleetBenchConfig(tenants=[tenant], duration=duration,
+                              seed=seed, continuous=False, autoscale=False)
+    arrivals = fleet_arrivals(config)
+    if request_deadline is not None:
+        for request in arrivals:
+            request.deadline = request.arrival_time + request_deadline
+    fleet = bench_fleet(tenant, **kwargs)
+    metrics = fleet.run(arrivals)
+    metrics.check_accounting(fleet.still_queued())
+    return fleet, metrics.tenant(tenant.name)
 
 
 # ----------------------------------------------------------------------
@@ -105,12 +139,13 @@ class TestAdmissionQueue:
             queue.offer(Request(id=0, arrival_time=0.0, size=16))
 
     def test_queue_full_counted_by_server(self):
-        engine = make_engine()
-        server = Server(engine, queue_depth=1)
-        assert server.submit(Request(id=0, arrival_time=0.0))
-        assert not server.submit(Request(id=1, arrival_time=0.0))
-        assert server.metrics.rejected_queue_full == 1
-        assert server.metrics.arrived == 2 and server.metrics.admitted == 1
+        fleet = bench_fleet(bench_tenant(queue_depth=1))
+        assert fleet.submit(Request(id=0, arrival_time=0.0, tenant="t"), 0.0)
+        assert not fleet.submit(Request(id=1, arrival_time=0.0, tenant="t"),
+                                0.0)
+        metrics = fleet.metrics.tenant("t")
+        assert metrics.rejected_queue_full == 1
+        assert metrics.arrived == 2 and metrics.admitted == 1
 
 
 class TestDynamicBatcher:
@@ -152,13 +187,13 @@ class TestDynamicBatcher:
         assert batch == [] and metrics.expired == 1 and not len(queue)
 
     def test_server_counts_empty_flushes(self):
-        engine = make_engine()
-        server = Server(engine, flush_timeout=0.01)
-        arrivals = [Request(id=0, arrival_time=0.0, deadline=0.002)]
-        metrics = server.run(arrivals)
+        fleet = bench_fleet(bench_tenant(flush_timeout=0.01))
+        arrivals = [Request(id=0, arrival_time=0.0, deadline=0.002,
+                            tenant="t")]
+        metrics = fleet.run(arrivals).tenant("t")
         assert metrics.empty_flushes == 1
         assert metrics.completed_requests == 0
-        assert engine.executed_batches == 0
+        assert fleet.tenants["t"].engine.executed_batches == 0
 
 
 # ----------------------------------------------------------------------
@@ -187,13 +222,14 @@ class TestServingEngine:
         assert engine.plans_verified == engine.replans
 
     def test_steady_state_hits_cache_zero_replans_after_warmup(self):
-        engine = make_engine()
-        config = BenchConfig(rps=200, duration=1.0, flush_timeout=0.002)
-        run_bench(engine, config)
-        warm_plans = engine.replans
+        cache = PlanCache()
+        tenant = bench_tenant(flush_timeout=0.002, rps=200)
+        run_serve_bench(tenant, duration=1.0, cache=cache)
+        warm_plans = cache.misses
         assert warm_plans > 0
-        metrics = run_bench(engine, BenchConfig(rps=200, duration=1.0,
-                                                flush_timeout=0.002, seed=1))
+        fleet, metrics = run_serve_bench(tenant, duration=1.0, seed=1,
+                                         cache=cache)
+        engine = fleet.tenants["t"].engine
         assert engine.replans == warm_plans   # zero replans after warmup
         assert engine.cache.hits > 0
         assert metrics.completed_requests > 0
@@ -240,9 +276,10 @@ class TestPlanCache:
 # ----------------------------------------------------------------------
 class TestBench:
     def test_poisson_trace_is_deterministic(self):
-        config = BenchConfig(rps=100, duration=2.0, seed=7)
-        first = poisson_arrivals(config)
-        second = poisson_arrivals(config)
+        config = FleetBenchConfig(tenants=[bench_tenant(rps=100)],
+                                  duration=2.0, seed=7)
+        first = fleet_arrivals(config)
+        second = fleet_arrivals(config)
         assert [r.arrival_time for r in first] \
             == [r.arrival_time for r in second]
         assert all(r.arrival_time < config.duration for r in first)
@@ -250,8 +287,7 @@ class TestBench:
     def test_bench_is_deterministic(self):
         results = []
         for _ in range(2):
-            engine = make_engine()
-            metrics = run_bench(engine, BenchConfig(rps=300, duration=1.0))
+            _, metrics = run_serve_bench(bench_tenant(rps=300), duration=1.0)
             results.append((metrics.completed_requests, metrics.batches,
                             metrics.latency.p(99)))
         assert results[0] == results[1]
@@ -259,24 +295,26 @@ class TestBench:
     def test_overload_rejects_instead_of_queueing_forever(self):
         # Single-image batches cap service at ~1/latency req/s; offer far
         # more and the bounded queue must start rejecting.
-        engine = make_engine()
-        config = BenchConfig(rps=50_000, duration=0.1, queue_depth=16,
-                             flush_timeout=0.0, max_batch_images=1)
-        metrics = run_bench(engine, config)
+        tenant = bench_tenant(rps=50_000, queue_depth=16, flush_timeout=0.0,
+                              batch_cap=1)
+        _, metrics = run_serve_bench(tenant, duration=0.1)
         assert metrics.rejected_queue_full > 0
         assert metrics.completed_requests > 0
         # Reject-on-full keeps the queue (and so queueing delay) bounded.
         assert metrics.queue_depth_p95() <= 16
 
     def test_deadlines_drop_stale_requests(self):
-        engine = make_engine()
-        config = BenchConfig(rps=5000, duration=0.5, deadline=0.002,
-                             flush_timeout=0.005)
-        metrics = run_bench(engine, config)
+        _, metrics = run_serve_bench(
+            bench_tenant(rps=5000, flush_timeout=0.005), duration=0.5,
+            request_deadline=0.002)
         assert metrics.expired > 0
         completed = metrics.completed_requests
         assert completed + metrics.expired \
             + metrics.rejected_queue_full == metrics.arrived
+
+    def test_numeric_needs_flush_only_dispatch(self):
+        with pytest.raises(ValueError, match="continuous=False"):
+            FleetScheduler([bench_tenant()], continuous=True, numeric=True)
 
 
 class TestMetrics:
@@ -358,10 +396,26 @@ class TestDeadlineBoundary:
         assert metrics.expired == 0
 
 
+def summary(fleet, metrics):
+    """What the golden results pin: (arrived, rejected, expired,
+    completed, batches, empty flushes, batch sizes, p99 seconds, engine
+    executed images, engine padded images)."""
+    engine = fleet.tenants["t"].engine
+    return (metrics.arrived, metrics.rejected_queue_full, metrics.expired,
+            metrics.completed_requests, metrics.batches,
+            metrics.empty_flushes, dict(metrics.batch_sizes),
+            metrics.latency.p(99), engine.executed_images,
+            engine.padded_images)
+
+
 class TestRequestAccounting:
     """arrived == rejected_queue_full + expired + completed + still_queued
-    after every bench run — enforced inside run_bench via
-    ServingMetrics.check_accounting."""
+    after every bench run — enforced inside ``FleetScheduler.run`` via
+    ServingMetrics.check_accounting.
+
+    The golden results were recorded from the former single-tenant
+    ``Server`` loop; the one-tenant flush-only fleet reproduces every
+    one of them exactly."""
 
     def test_check_accounting_raises_on_imbalance(self):
         metrics = ServingMetrics()
@@ -372,20 +426,26 @@ class TestRequestAccounting:
         metrics.check_accounting(still_queued=2)   # balanced: no raise
 
     @pytest.mark.parametrize("config", [
-        BenchConfig(rps=300, duration=1.0),
-        BenchConfig(rps=50_000, duration=0.1, queue_depth=16,
-                    flush_timeout=0.0, max_batch_images=1),
-        BenchConfig(rps=5000, duration=0.5, deadline=0.002,
-                    flush_timeout=0.005),
+        (bench_tenant(rps=300), 1.0, None,
+         (263, 0, 0, 263, 116, 0, {1: 30, 2: 43, 3: 29, 4: 11, 5: 2, 6: 1},
+          0.005193237772929404, 263, 37)),
+        (bench_tenant(rps=50_000, queue_depth=16, flush_timeout=0.0,
+                      batch_cap=1), 0.1, None,
+         (4913, 4271, 0, 642, 642, 0, {1: 642}, 0.0027175502466365853,
+          642, 0)),
+        (bench_tenant(rps=5000, flush_timeout=0.005), 0.5, 0.002,
+         (2461, 0, 141, 2320, 290, 1, {8: 290}, 0.002082831453385059,
+          2320, 0)),
     ])
     def test_invariant_holds_across_bench_regimes(self, config):
-        # run_bench calls check_accounting itself; re-check explicitly so
-        # the invariant is asserted even if the driver changes.
-        metrics = run_bench(make_engine(), config)
+        tenant, duration, request_deadline, expected = config
+        fleet, metrics = run_serve_bench(tenant, duration,
+                                   request_deadline=request_deadline)
         metrics.check_accounting(still_queued=0)
         assert metrics.arrived == (metrics.rejected_queue_full
                                    + metrics.expired
                                    + metrics.completed_requests)
+        assert summary(fleet, metrics) == expected
 
 
 class TestExpiredAwareReadyAt:
@@ -493,7 +553,7 @@ class TestDiscoveryServesTheSameGraph:
 
 
 class TestNumericLogitsOwnership:
-    """Regression: ``_run_numeric`` must copy each request's logits
+    """Regression: ``run_entry`` must copy each request's logits
     slice.  A view would pin the whole padded bucket-sized buffer (and
     through it the executor's value table) alive until the next batch."""
 
@@ -687,9 +747,27 @@ class TestDenseBatching:
         assert batcher.ready_at(queue) == pytest.approx(1.0)
 
 
+def mixed_trace():
+    """60 seeded arrivals, a quarter of them dense (2x2-patch) images."""
+    rng = np.random.default_rng(7)
+    arrivals, clock = [], 0.0
+    for i in range(60):
+        clock += float(rng.exponential(0.0002))
+        if rng.random() < 0.25:
+            hw = (32, 32) if rng.random() < 0.5 else (48, 48)
+            arrivals.append(DenseRequest(
+                id=i, arrival_time=clock, image_hw=hw, grid=(2, 2),
+                tenant="t"))
+        else:
+            arrivals.append(Request(
+                id=i, arrival_time=clock, size=int(rng.integers(1, 5)),
+                tenant="t"))
+    return arrivals
+
+
 class TestMixedServing:
     """Satellite fuzz: random classification + dense traffic through the
-    full Server loop, exact accounting at the end."""
+    serve-bench loop, exact accounting at the end."""
 
     def make_dense_engine(self, **kwargs):
         kwargs.setdefault("batch_cap", 8)
@@ -697,12 +775,12 @@ class TestMixedServing:
         return ServingEngine(model, **kwargs)
 
     def test_dense_request_served_end_to_end(self):
-        engine = self.make_dense_engine()
-        server = Server(engine, flush_timeout=0.005)
+        fleet = bench_fleet(bench_tenant(model="small_vgg"))
         dense = DenseRequest(id=0, arrival_time=0.0,
-                             image_hw=(64, 64), grid=(2, 2))
-        metrics = server.run([dense])
+                             image_hw=(64, 64), grid=(2, 2), tenant="t")
+        metrics = fleet.run([dense]).tenant("t")
         metrics.check_accounting()
+        engine = fleet.tenants["t"].engine
         assert metrics.completed_requests == 1
         assert engine.executed_images == 4          # the patch total
         assert engine.plans_verified == engine.cache.misses
@@ -723,22 +801,11 @@ class TestMixedServing:
             engine.execute([dense, Request(id=1, arrival_time=0.0)])
 
     def test_fuzz_mixed_traffic_accounting(self):
-        rng = np.random.default_rng(7)
-        engine = self.make_dense_engine()
-        server = Server(engine, flush_timeout=0.004, queue_depth=6,
-                        max_pending_images=24)
-        arrivals, clock = [], 0.0
-        for i in range(60):
-            clock += float(rng.exponential(0.0002))
-            if rng.random() < 0.25:
-                hw = (32, 32) if rng.random() < 0.5 else (48, 48)
-                arrivals.append(DenseRequest(
-                    id=i, arrival_time=clock, image_hw=hw, grid=(2, 2)))
-            else:
-                arrivals.append(Request(
-                    id=i, arrival_time=clock,
-                    size=int(rng.integers(1, 5))))
-        metrics = server.run(arrivals)
+        fleet = bench_fleet(bench_tenant(
+            model="small_vgg", flush_timeout=0.004, queue_depth=6,
+            max_pending_images=24))
+        arrivals = mixed_trace()
+        metrics = fleet.run(arrivals).tenant("t")
         metrics.check_accounting()        # nothing lost, nothing doubled
         assert metrics.arrived == 60
         assert metrics.completed_requests + metrics.rejected_queue_full \
@@ -747,6 +814,11 @@ class TestMixedServing:
         assert metrics.rejected_queue_full > 0    # the bound really bit
         completed_images = sum(
             r.size for r in arrivals if r.completion_time is not None)
+        engine = fleet.tenants["t"].engine
         assert engine.executed_images == completed_images
         assert engine.plans_verified == engine.cache.misses
-        assert server.queue.pending_images == 0
+        assert fleet.tenants["t"].queue.pending_images == 0
+        # Golden results of the former single-tenant Server loop.
+        assert summary(fleet, metrics) == (
+            60, 15, 0, 45, 29, 0, {1: 2, 3: 2, 4: 15, 6: 4, 7: 4, 8: 2},
+            0.0030080712185581934, 136, 3542)
