@@ -165,8 +165,11 @@ _SPECS = [
     DiagnosticSpec(
         "SCA403", "refcount-mismatch", SEV_ERROR, PASS_LOWERING,
         "The plan's eager-free refcounts disagree with independently "
-        "re-derived consumer counts, or the plan would free a pinned "
-        "value (parameter, constant, run output, or final gradient)."),
+        "re-derived consumer counts, the plan would free a pinned "
+        "value (parameter, constant, run output, or final gradient), or "
+        "its in-place accumulation table disagrees with the graph or "
+        "overwrites a pinned value, a value another op reads, or a "
+        "non-parameter gradient."),
     DiagnosticSpec(
         "SCA404", "twin-retarget-mismatch", SEV_ERROR, PASS_LOWERING,
         "A backward op's precomputed forward reference, saved-context "

@@ -3,9 +3,10 @@
 
 :class:`CompiledPlan` lowers the per-op bookkeeping of execution into
 dense arrays at build time — kernel bindings, wavefront dependency
-counts, eager-free refcounts, seed pairs, forward-twin references, and a
-persistent-value table.  A bug anywhere in that lowering silently breaks
-byte-identity (or worse, frees live values), so this pass re-derives
+counts, eager-free refcounts, in-place accumulation flags, seed pairs,
+forward-twin references, and a persistent-value table.  A bug anywhere
+in that lowering silently breaks byte-identity (or worse, frees or
+overwrites live values), so this pass re-derives
 every array **from raw graph structure only** — ``tensor.producer``,
 ``op.inputs``/``op.saved``, ``forward_of`` links — sharing no derivation
 code with :mod:`repro.graph.executor` or with the graph helpers the plan
@@ -19,8 +20,10 @@ Codes:
 - ``SCA401`` — step list does not bind every source op exactly once, in
   order, to its registry kernel;
 - ``SCA402`` — wavefront arrays disagree with the re-derived DAG;
-- ``SCA403`` — eager-free refcounts disagree, or a pinned value
-  (parameter/constant/run output/final gradient) would be freed;
+- ``SCA403`` — eager-free refcounts disagree, a pinned value
+  (parameter/constant/run output/final gradient) would be freed, or the
+  in-place accumulation table disagrees with the graph or overwrites a
+  value that is pinned, read by another op, or not a parameter gradient;
 - ``SCA404`` — seed pairs, forward-twin references, or saved-context
   counts disagree with the graph;
 - ``SCA405`` — the persistent-value table is missing, inconsistent, or
@@ -213,6 +216,40 @@ def verify_lowering(plan: "CompiledPlan") -> List[Diagnostic]:
                 f"op {op.name!r} decrements tensors "
                 f"{sorted(lowered_consumed)}; the graph shows it consumes "
                 f"{sorted(want_set)}",
+                op_ids=(op.id,)))
+
+    # --- SCA403: in-place accumulation table --------------------------
+    def overwrite_hazard(op: OpNode) -> Optional[str]:
+        """Why overwriting ``op``'s input 0 could corrupt a live value,
+        or None when the op is its only reader and it is disposable."""
+        if not op.inputs or op.inputs[0] not in graph.tensors:
+            return "has no input tensor to overwrite"
+        target = graph.tensors[op.inputs[0]]
+        if target.id in pinned:
+            return (f"overwrites {target.name!r}, a persistent value, run "
+                    "output or final gradient")
+        if consumers.get(target.id, set()) != {op.id}:
+            return f"overwrites {target.name!r}, which other ops read"
+        if target.kind != "gradient":
+            return (f"overwrites {target.name!r} of kind {target.kind!r}, "
+                    "not a parameter gradient")
+        return None
+
+    for op in ops:
+        hazard = overwrite_hazard(op)
+        want = (plan.eager_free and op.op_type == "grad_acc"
+                and hazard is None)
+        got = bool(plan._in_place[op.id])
+        if got and hazard is not None:
+            findings.append(Diagnostic(
+                "SCA403",
+                f"op {op.name!r} accumulates in place but {hazard}",
+                op_ids=(op.id,)))
+        elif got != want:
+            findings.append(Diagnostic(
+                "SCA403",
+                f"op {op.name!r} lowers in-place accumulation {got}; the "
+                f"graph gives {want}",
                 op_ids=(op.id,)))
 
     # --- SCA404: seeds, twin references, saved-context counts ---------

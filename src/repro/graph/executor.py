@@ -60,10 +60,21 @@ intermediate value is dropped as soon as its last consumer retires, using
 the refcount schedule of :func:`~repro.graph.liveness.compute_free_plan`;
 saved forward contexts are likewise dropped once every backward op of
 their forward op has run.  Peak executor memory then tracks the graph's
-true liveness profile instead of holding one whole step.  Pass
-``eager_free=False`` to keep every value and context until the next run
-(the §4.3 profiling loop re-times individual ops after a run and needs
-them all).
+true liveness profile instead of holding one whole step.  The same
+schedule lets gradient accumulation run in place: a ``grad_acc`` op whose
+input 0 is a parameter gradient (kind ``"gradient"``) retired by that
+very op adds into it (``np.add(acc, grad, out=acc)``) and publishes it as
+its output, so each weight shared by split patches keeps one accumulator
+instead of allocating a new sum per link.  The IEEE additions and their
+chain order are unchanged, so the bytes are too.  Parameter-gradient
+partials come only from ``*_bwd_weight``, ``batchnorm_bwd`` and
+``grad_acc``, which return arrays no other value slot holds; activation
+gradients may alias (``add_bwd`` publishes one array twice, ``flatten``
+returns a view) and keep the allocating add.  The decision is lowered
+into the per-op ``_in_place`` table, which the registry kernel reads.
+Pass ``eager_free=False`` to keep every value and context until the next
+run (the §4.3 profiling loop re-times individual ops after a run and
+needs them all); such a plan always allocates.
 """
 
 from __future__ import annotations
@@ -224,6 +235,20 @@ class CompiledPlan:
         self._consumed: List[Tuple[int, ...]] = [()] * num_ops
         for op_id, tensor_ids in consumed_by_op.items():
             self._consumed[op_id] = tuple(tensor_ids)
+        # A grad_acc op retiring its parameter-gradient input 0 adds into
+        # that array instead of allocating a new sum (see the module
+        # docstring).  Activation gradients may alias (add_bwd, flatten),
+        # so only kind "gradient" qualifies.
+        self._in_place: List[bool] = [False] * num_ops
+        if eager_free:
+            for op in graph.ops:
+                if op.op_type != "grad_acc":
+                    continue
+                acc = op.inputs[0]
+                self._in_place[op.id] = (
+                    graph.tensors[acc].kind == "gradient"
+                    and acc in self._consumed[op.id]
+                    and self._counts_template[acc] == 1)
         twin_counts = Counter(op.forward_of for op in graph.ops
                               if op.forward_of is not None)
         self._ctx_template: List[int] = [0] * num_ops
@@ -481,6 +506,11 @@ class CompiledPlan:
             self.execute_op(forward)
             ctx = self._contexts[forward.id]
         return ctx
+
+    def in_place(self, op: OpNode) -> bool:
+        """True when ``op`` may overwrite its input 0: the lowered table
+        marks a ``grad_acc`` whose partial dies at this op."""
+        return self._in_place[op.id]
 
     def dropout_op_seed(self, op: OpNode) -> Tuple[int, int]:
         """Per-op dropout seed: distinct layers draw distinct masks.

@@ -686,7 +686,13 @@ def _k_add_bwd(ex, op):
 
 
 def _k_grad_acc(ex, op):
-    ex.set_output(op, 0, ex.input(op, 0) + ex.input(op, 1))
+    acc, grad = ex.input(op, 0), ex.input(op, 1)
+    if ex.in_place(op):
+        # ``acc`` dies here and no other value slot holds it: the same
+        # IEEE sum, written into the partial instead of a new array.
+        ex.set_output(op, 0, np.add(acc, grad, out=acc))
+    else:
+        ex.set_output(op, 0, acc + grad)
 
 
 def _k_dropout(ex, op):

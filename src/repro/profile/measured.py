@@ -67,7 +67,9 @@ class MeasuredCostModel(CostModel):
     def _measure(self, graph: Graph, parameters, input_array, targets) -> None:
         # One full run materializes every value and forward context
         # (eager_free stays off — the timing loop below re-reads all of
-        # them); the run itself may use the wavefront scheduler.
+        # them); the run itself may use the wavefront scheduler.  Without
+        # eager_free, grad_acc is timed as the allocating add, not the
+        # in-place add of a default plan.
         executor = CompiledPlan(graph, parameters, workers=self.workers,
                                 eager_free=False)
         executor.run(input_array, targets)

@@ -22,6 +22,7 @@ from repro.analysis import (
 )
 from repro.analysis.diagnostics import HELP_URI, sarif_rules
 from repro.compile import CompiledPlan, default_pipeline
+from repro.core import to_split_cnn
 from repro.graph import build_inference_graph, build_training_graph
 from repro.graph.ir import Graph
 from repro.hmms.planner import PlanCache
@@ -56,6 +57,18 @@ def compiled_train():
     """(graph, params) for a compiled small_vgg training graph; each test
     builds its own CompiledPlan (cheap) and mutates only the plan."""
     model = _model()
+    graph = build_training_graph(model, 2)
+    params = CompiledPlan.parameters_from_model(graph, model)
+    default_pipeline().run(graph, params=params)
+    return graph, params
+
+
+@pytest.fixture(scope="module")
+def split_train():
+    """(graph, params) for a compiled split-2x2 small_vgg training graph:
+    the patches share weights through grad_acc chains, several of which
+    accumulate in place."""
+    model = to_split_cnn(_model(), depth=0.5, num_splits=(2, 2))
     graph = build_training_graph(model, 2)
     params = CompiledPlan.parameters_from_model(graph, model)
     default_pipeline().run(graph, params=params)
@@ -220,10 +233,14 @@ class TestAbsintMutations:
 # ----------------------------------------------------------------------
 class TestLoweringMutations:
     def test_clean_plans_verify(self, compiled_train, compiled_eval,
-                                no_pass_train, no_pass_eval):
+                                no_pass_train, no_pass_eval, split_train):
         for fixture in (compiled_train, compiled_eval, no_pass_train,
-                        no_pass_eval):
+                        no_pass_eval, split_train):
             assert not verify_lowering(_plan(fixture))
+        graph, params = split_train
+        allocating = CompiledPlan(graph, params, eager_free=False)
+        assert not any(allocating._in_place)
+        assert not verify_lowering(allocating)
 
     def test_sca401_foreign_kernel(self, compiled_train):
         plan = _plan(compiled_train)
@@ -270,6 +287,24 @@ class TestLoweringMutations:
         findings = _only_code(verify_lowering(plan), "SCA403")
         assert any("pinned value would be freed" in f.message
                    and f.tensor_id == param.id for f in findings)
+
+    def test_sca403_in_place_flag_flipped(self, split_train):
+        plan = _plan(split_train)
+        op_id = plan._in_place.index(True)
+        plan._in_place[op_id] = False
+        findings = _only_code(verify_lowering(plan), "SCA403")
+        assert any(f.op_ids == (op_id,) and "in-place accumulation"
+                   in f.message for f in findings)
+
+    def test_sca403_in_place_overwrites_live_value(self, split_train):
+        # The first op reads the graph input, which is no parameter
+        # gradient: overwriting it would corrupt a value the caller owns.
+        plan = _plan(split_train)
+        op = plan.graph.ops[0]
+        plan._in_place[op.id] = True
+        findings = _only_code(verify_lowering(plan), "SCA403")
+        assert any(f.op_ids == (op.id,) and "accumulates in place but"
+                   in f.message for f in findings)
 
     def test_sca404_twin_retargeted(self, compiled_train):
         plan = _plan(compiled_train)

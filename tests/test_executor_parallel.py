@@ -6,14 +6,18 @@ byte-identical to the serial walk of ``graph.ops``.  The matrix below
 covers the model zoo shapes that stress it: split transforms (parallel
 patch chains sharing weights through ``grad_acc`` accumulation),
 residual graphs (multi-consumer activations), and dropout (per-op
-seeded masks).
+seeded masks).  The same matrix holds the in-place ``grad_acc`` path of
+eager plans to the allocating path of ``eager_free=False`` plans.
 """
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.analysis import verify_lowering
+from repro.compile import default_pipeline
 from repro.core import to_split_cnn
 from repro.graph import build_training_graph
 from repro.graph.executor import CompiledPlan
@@ -73,6 +77,40 @@ class TestSerialParallelParity:
         parallel = CompiledPlan(graph, params, workers=workers).run(x, y)
         assert serial.keys() == parallel.keys()
         assert _outputs_bytes(serial) == _outputs_bytes(parallel)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("compiled", [False, True],
+                             ids=["no-pass", "compiled"])
+    def test_in_place_matches_allocating_reference(self, case, workers,
+                                                   compiled):
+        """The eager plan adds each dying parameter-gradient partial in
+        place; the ``eager_free=False`` plan allocates every sum.  Same
+        bytes, and the in-place run writes into no buffer the reference
+        run or the next run still reads."""
+        model, x, y = _case(case)
+        graph = build_training_graph(model, x.shape[0])
+        params = CompiledPlan.parameters_from_model(graph, model)
+        if compiled:
+            default_pipeline().run(graph, params=params)
+        allocating = CompiledPlan(graph, params, workers=workers,
+                                  eager_free=False)
+        reference = allocating.run(x, y)
+        expected = _outputs_bytes(reference)
+        in_place = CompiledPlan(graph, params, workers=workers)
+        # Only split graphs share weights across patches (grad_acc); the
+        # residual cases' activation-gradient chains must stay out.
+        assert any(in_place._in_place) == (":" in case)
+        assert not verify_lowering(in_place)
+        first = in_place.run(x, y)
+        assert _outputs_bytes(first) == expected
+        # A later step on another input leaves the caller's arrays from
+        # earlier runs, and the persistent arrays every run reads, as
+        # they were.
+        in_place.run(2.0 * x, y)
+        assert _outputs_bytes(first) == expected
+        assert _outputs_bytes(reference) == expected
+        assert _outputs_bytes(allocating.run(x, y)) == expected
 
     def test_parallel_run_is_repeatable(self):
         model, x, y = _case("vgg:2")
@@ -159,6 +197,58 @@ class TestEagerFree:
         for tensor_id in pinned:
             assert eager.values[tensor_id] is not None
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_persistent_arrays_never_written(self, workers):
+        """numpy raises on a write into a read-only array, so a kernel
+        that overwrote a parameter or constant would fail the run."""
+        model, x, y = _case("vgg:2")
+        graph = build_training_graph(model, x.shape[0])
+        params = CompiledPlan.parameters_from_model(graph, model)
+        expected = _outputs_bytes(CompiledPlan(graph, params).run(x, y))
+        frozen = {name: array.copy() for name, array in params.items()}
+        plan = CompiledPlan(graph, frozen, workers=workers)
+        assert any(plan._in_place)
+        for value in plan._base_values:
+            if value is not None:
+                value.flags.writeable = False
+        assert _outputs_bytes(plan.run(x, y)) == expected
+
+    def test_in_place_grad_acc_allocates_nothing(self):
+        """Each in-place grad_acc grows traced memory by less than 1 KiB
+        across its kernel call; the allocating add of the same op grows
+        it by at least the gradient's size."""
+        model, x, y = _case("vgg:2")
+        graph = build_training_graph(model, x.shape[0])
+        params = CompiledPlan.parameters_from_model(graph, model)
+        growth, sizes = {}, {}
+
+        def measured(kernel):
+            def run(executor, op):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                kernel(executor, op)
+                key = (executor.eager_free, op.id)
+                growth[key] = tracemalloc.get_traced_memory()[1] - before
+                sizes[key] = executor.values[op.outputs[0]].nbytes
+            return run
+
+        in_place = CompiledPlan(graph, params)
+        allocating = CompiledPlan(graph, params, eager_free=False)
+        tracemalloc.start()
+        try:
+            for plan in (in_place, allocating):
+                plan._steps = [
+                    (measured(kernel) if op.op_type == "grad_acc"
+                     else kernel, op) for kernel, op in plan._steps]
+                plan.run(x, y)
+        finally:
+            tracemalloc.stop()
+        in_place_ids = [op.id for op in graph.ops if in_place._in_place[op.id]]
+        assert in_place_ids
+        for op_id in in_place_ids:
+            assert growth[(True, op_id)] < 1024
+            assert growth[(False, op_id)] >= sizes[(False, op_id)]
+
     def test_workers_must_be_positive(self):
         model, x, y = _case("vgg")
         graph = build_training_graph(model, x.shape[0])
@@ -174,28 +264,52 @@ class TestKernelFailure:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_failure_surfaces_and_plan_reruns_clean(self, workers):
         """The exception reaches the caller, no worker thread outlives
-        the run, and the same plan object then re-runs byte-identically
-        to a clean run."""
+        the run, the parameters are untouched, and the same plan object
+        then re-runs byte-identically to a clean run.
+
+        The failure strikes the last in-place ``grad_acc`` of a chain
+        whose previous link also accumulated in place, so by dependency
+        order some partials were already overwritten when it fires."""
         model, x, y = _case("vgg:2")
         graph = build_training_graph(model, x.shape[0])
         params = CompiledPlan.parameters_from_model(graph, model)
+        param_bytes = _outputs_bytes(params)
         clean = _outputs_bytes(CompiledPlan(graph, params).run(x, y))
 
         plan = CompiledPlan(graph, params, workers=workers)
-        index = len(plan._steps) // 2
+
+        def in_place_link(op):
+            producer = graph.tensors[op.inputs[0]].producer
+            return (plan._in_place[op.id] and producer is not None
+                    and plan._in_place[producer])
+
+        index = max(i for i, (_, op) in enumerate(plan._steps)
+                    if in_place_link(op))
         kernel, op = plan._steps[index]
-        calls = []
+        calls, in_place_runs = [], []
+        in_place_before_failure = []
+
+        def counted(in_place_kernel):
+            def run(executor, op):
+                in_place_kernel(executor, op)
+                in_place_runs.append(op.id)
+            return run
 
         def fails_once(executor, op):
             calls.append(op.id)
             if len(calls) == 1:
+                in_place_before_failure.append(len(in_place_runs))
                 raise RuntimeError("injected kernel failure")
             kernel(executor, op)
 
+        plan._steps = [(counted(k) if plan._in_place[o.id] else k, o)
+                       for k, o in plan._steps]
         plan._steps[index] = (fails_once, op)
         threads_before = threading.active_count()
         with pytest.raises(RuntimeError, match="injected kernel failure"):
             plan.run(x, y)
         assert threading.active_count() == threads_before
+        assert in_place_before_failure[0] > 0
+        assert _outputs_bytes(params) == param_bytes
         assert _outputs_bytes(plan.run(x, y)) == clean
         assert len(calls) == 2
